@@ -15,7 +15,7 @@ use crate::clock::SimTime;
 use crate::config::SimConfig;
 use crate::events::EventQueue;
 use crate::hdfs::{input_scan_time, read_time, InputProfile};
-use mrs_core::task::{run_map_task, run_reduce_task};
+use mrs_core::task::{run_map_task, run_reduce_task_merge};
 use mrs_core::{Bucket, Error, FuncId, Program, Record, Result};
 use mrs_rng::splitmix::hash_bytes;
 use std::collections::{HashMap, VecDeque};
@@ -306,18 +306,23 @@ impl HadoopCluster {
                                     None => false,
                                     Some(r) => {
                                         trackers[i].free_reduce_slots -= 1;
-                                        let mut input = Bucket::new();
-                                        for mo in map_outputs.iter().flatten() {
-                                            input.extend_from(&mo[r]);
-                                        }
-                                        let in_bytes = input.byte_size() as u64;
+                                        // Each map output is a sorted
+                                        // run; the reduce merges them.
+                                        let runs: Vec<Bucket> = map_outputs
+                                            .iter()
+                                            .flatten()
+                                            .map(|mo| mo[r].clone())
+                                            .collect();
+                                        let in_bytes =
+                                            runs.iter().map(Bucket::byte_size).sum::<usize>()
+                                                as u64;
                                         shuffle_bytes += in_bytes;
                                         let (out, real) = {
                                             let t = std::time::Instant::now();
-                                            let o = run_reduce_task(
+                                            let o = run_reduce_task_merge(
                                                 spec.program,
                                                 spec.reduce_func,
-                                                input,
+                                                &runs,
                                             )?;
                                             (o, t.elapsed())
                                         };

@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mrs_core::kv::encode_record;
 use mrs_core::program::Program;
 use mrs_core::sortgroup::group_sorted;
-use mrs_core::task::{run_map_task_with, CombineStrategy};
+use mrs_core::task::{combine_bucket, run_map_task};
 use mrs_core::{MapReduce, Record, Simple};
 use mrs_rng::SplitMix64;
 use mrs_rpc::http::{HttpClient, HttpServer, Response, ServerOptions};
@@ -98,37 +98,29 @@ fn bench_combine(c: &mut Criterion) {
 
     // Sanity: the reconstructed seed path and the new hash path must agree
     // byte-for-byte, or the benchmark would be comparing different work.
-    let hash = run_map_task_with(&program, 0, &input, 4, true, CombineStrategy::Hash).unwrap();
+    let hash = run_map_task(&program, 0, &input, 4, true).unwrap();
     let seed = seed_sort_combine_map_task(&program, &input, 4);
     assert_eq!(hash.iter().map(|b| b.to_records()).collect::<Vec<_>>(), seed);
 
     let mut group = c.benchmark_group("shuffle_combine");
     group.bench_function("hash_combine_zipf_500k", |b| {
-        b.iter(|| {
-            black_box(
-                run_map_task_with(&program, 0, black_box(&input), 4, true, CombineStrategy::Hash)
-                    .unwrap(),
-            )
-        })
+        b.iter(|| black_box(run_map_task(&program, 0, black_box(&input), 4, true).unwrap()))
     });
+    // Sort-then-combine: the raw map output, each bucket combined after
+    // the fact by the reference combiner.
     group.bench_function("sort_combine_zipf_500k", |b| {
         b.iter(|| {
-            black_box(
-                run_map_task_with(&program, 0, black_box(&input), 4, true, CombineStrategy::Sort)
-                    .unwrap(),
-            )
+            let raw = run_map_task(&program, 0, black_box(&input), 4, false).unwrap();
+            let combined: Vec<_> =
+                raw.into_iter().map(|b| combine_bucket(&program, 0, b).unwrap()).collect();
+            black_box(combined)
         })
     });
     group.bench_function("seed_sort_combine_zipf_500k", |b| {
         b.iter(|| black_box(seed_sort_combine_map_task(&program, black_box(&input), 4)))
     });
     group.bench_function("no_combine_zipf_500k", |b| {
-        b.iter(|| {
-            black_box(
-                run_map_task_with(&program, 0, black_box(&input), 4, false, CombineStrategy::Hash)
-                    .unwrap(),
-            )
-        })
+        b.iter(|| black_box(run_map_task(&program, 0, black_box(&input), 4, false).unwrap()))
     });
     group.finish();
 }

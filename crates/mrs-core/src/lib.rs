@@ -31,4 +31,3 @@ pub use kv::{Datum, Record};
 pub use merge::{merge_runs, RunMerger};
 pub use plan::{DataRef, FuncId, OpId, OpKind, OpSpec, Plan};
 pub use program::{MapReduce, Program, Simple};
-pub use task::MergeMode;

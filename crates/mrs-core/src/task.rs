@@ -1,32 +1,37 @@
 //! Task kernels: the actual work of a map task or a reduce task.
 //!
 //! Every execution implementation — serial, mock-parallel, thread pool,
-//! master/slave, and the Hadoop baseline — funnels through these two
-//! functions, which is what guarantees the paper's property that all
-//! implementations "produce identical answers" (§IV-A): the runtimes differ
-//! only in *where and when* tasks run, never in what a task computes.
+//! master/slave, and the Hadoop baseline — funnels through these kernels,
+//! which is what guarantees the paper's property that all implementations
+//! "produce identical answers" (§IV-A): the runtimes differ only in *where
+//! and when* tasks run, never in what a task computes.
 //!
-//! Combining comes in two flavours selected by [`CombineStrategy`]:
+//! One kernel per op kind, plus a record-slice convenience for map:
 //!
-//! * [`CombineStrategy::Sort`] — the classic post-pass: buffer the whole
-//!   map output, sort each bucket, combine each key group. O(n log n)
-//!   comparisons and peak memory proportional to the raw map output.
-//! * [`CombineStrategy::Hash`] (default) — an in-mapper streaming
-//!   combiner: records are folded into a hash table *as they are emitted*,
-//!   so duplicate-heavy workloads (Zipf-distributed WordCount) never
-//!   materialize the raw output. O(n) expected work; the final sort only
-//!   touches distinct keys. Groups are emitted in sorted key order, so the
-//!   output is byte-for-byte identical to the sort path for the
-//!   associative, key-preserving combiners the paper's contract requires
-//!   ("the reduce function can function as a combiner").
+//! * [`run_map_task`] / [`run_map_task_bucket`] — map each input record
+//!   and partition the output. With a combiner, records are folded into
+//!   an in-mapper hash table *as they are emitted*, so duplicate-heavy
+//!   workloads (Zipf-distributed WordCount) never materialize the raw
+//!   output; groups are emitted in sorted key order. Without one, each
+//!   bucket is sorted in place. Either way every output bucket is a
+//!   **sorted run**.
+//! * [`run_reduce_task_merge`] — stream key groups out of a k-way merge of
+//!   the sorted runs gathered for one partition, never materializing the
+//!   concatenated partition.
+//! * [`run_reduce_map_task_merge`] — the fused `reducemap` of iterative
+//!   jobs: the same merge feeding each reduced record straight into the
+//!   next map.
 //!
-//! Every map kernel emits each output bucket as a **sorted run** (the
-//! combiner paths do so inherently; the raw path sorts in place), which
-//! lets the reduce-side kernels choose via [`MergeMode`] between the
-//! classic concatenate+sort and a streaming k-way merge
-//! ([`run_reduce_task_merge`], [`run_reduce_map_task_merge`]) that never
-//! materializes the concatenated partition. Both reduce paths are
-//! byte-identical; the sort path is kept as the oracle.
+//! [`combine_bucket`] is the sort-then-combine reference the hash combiner
+//! is checked against: for the associative, key-preserving combiners the
+//! paper's contract requires ("the reduce function can function as a
+//! combiner") both produce byte-identical buckets.
+//!
+//! Kernels that run on distributed slaves take a cooperative-cancellation
+//! flag (`None` when the caller never cancels), checked at record
+//! boundaries in map and at key-group boundaries in reduce, so a losing
+//! speculative attempt abandons its work within one record or group of
+//! the cancel order landing.
 
 use crate::bucket::Bucket;
 use crate::error::{Error, Result};
@@ -36,10 +41,7 @@ use crate::plan::FuncId;
 use crate::program::Program;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Check a cooperative-cancellation flag (if any); raise [`Error::Cancelled`]
-/// when it is set. Called at record boundaries in the map kernels and at
-/// group boundaries in the reduce kernels, so a losing speculative attempt
-/// abandons its work within one record/group of the cancel order landing.
+/// Raise [`Error::Cancelled`] when the cancellation flag (if any) is set.
 #[inline]
 fn check_cancel(cancel: Option<&AtomicBool>) -> Result<()> {
     match cancel {
@@ -48,47 +50,10 @@ fn check_cancel(cancel: Option<&AtomicBool>) -> Result<()> {
     }
 }
 
-/// How a map task applies its combiner.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CombineStrategy {
-    /// Streaming in-mapper hash combining (default).
-    #[default]
-    Hash,
-    /// Buffer, sort, then combine key groups (the pre-overhaul behaviour;
-    /// kept for the A4 ablation and as the reference implementation).
-    Sort,
-}
-
-/// How a reduce-side task assembles its gathered partition. Every map
-/// kernel emits each output bucket as a *sorted run*, so the reduce input
-/// is k sorted runs either way; the mode only chooses between streaming
-/// them through a k-way merge and the classic concatenate+sort.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MergeMode {
-    /// Stream key groups out of a k-way merge of the fetched runs
-    /// (default): O(n log k) comparisons, no concatenated bucket.
-    #[default]
-    Merge,
-    /// Concatenate all runs and sort — the pre-merge behaviour, kept as
-    /// the byte-identity oracle behind `--mrs-merge=sort`.
-    Sort,
-}
-
-impl MergeMode {
-    /// Parse a `--mrs-merge` value.
-    pub fn parse(s: &str) -> Result<MergeMode> {
-        match s {
-            "merge" => Ok(MergeMode::Merge),
-            "sort" => Ok(MergeMode::Sort),
-            other => Err(Error::Invalid(format!("unknown merge mode {other:?} (merge|sort)"))),
-        }
-    }
-}
-
-/// Run one map task: apply map function `func` to every input record and
-/// partition the output into `parts` buckets. When `combine` is set and the
-/// function has a combiner, map output is combined locally — the "local
-/// reduce" optimisation of §V-A — using the default [`CombineStrategy`].
+/// Run one map task over a record slice: apply map function `func` to
+/// every input record and partition the output into `parts` buckets. When
+/// `combine` is set and the function has a combiner, map output is
+/// combined locally — the "local reduce" optimisation of §V-A.
 pub fn run_map_task(
     program: &dyn Program,
     func: FuncId,
@@ -96,71 +61,36 @@ pub fn run_map_task(
     parts: usize,
     combine: bool,
 ) -> Result<Vec<Bucket>> {
-    run_map_task_with(program, func, input, parts, combine, CombineStrategy::default())
+    let records = input.iter().map(|(k, v)| (k.as_slice(), v.as_slice()));
+    run_map_records(program, func, records, parts, combine, None)
 }
 
 /// [`run_map_task`] reading its input straight from a [`Bucket`] arena:
 /// the distributed slave decodes fetched input files into one reused
 /// bucket and maps over the borrowed slices, so the hot map path never
-/// materializes a `Vec<Record>`.
+/// materializes a `Vec<Record>`. When `cancel` becomes set the kernel
+/// stops at the next input record and returns [`Error::Cancelled`],
+/// discarding all partial output.
 pub fn run_map_task_bucket(
     program: &dyn Program,
     func: FuncId,
     input: &Bucket,
     parts: usize,
     combine: bool,
-) -> Result<Vec<Bucket>> {
-    run_map_task_bucket_cancellable(program, func, input, parts, combine, None)
-}
-
-/// [`run_map_task_bucket`] with a cooperative-cancellation flag checked at
-/// every input-record boundary: when `cancel` becomes set, the kernel stops
-/// and returns [`Error::Cancelled`], discarding all partial output. Used by
-/// the distributed slave to abandon a speculative attempt that lost the
-/// first-completion race.
-pub fn run_map_task_bucket_cancellable(
-    program: &dyn Program,
-    func: FuncId,
-    input: &Bucket,
-    parts: usize,
-    combine: bool,
     cancel: Option<&AtomicBool>,
 ) -> Result<Vec<Bucket>> {
-    run_map_records_cancellable(
-        program,
-        func,
-        input.iter(),
-        parts,
-        combine,
-        CombineStrategy::default(),
-        cancel,
-    )
+    run_map_records(program, func, input.iter(), parts, combine, cancel)
 }
 
-/// [`run_map_task`] with an explicit combining strategy.
-pub fn run_map_task_with(
-    program: &dyn Program,
-    func: FuncId,
-    input: &[Record],
-    parts: usize,
-    combine: bool,
-    strategy: CombineStrategy,
-) -> Result<Vec<Bucket>> {
-    let records = input.iter().map(|(k, v)| (k.as_slice(), v.as_slice()));
-    run_map_records_cancellable(program, func, records, parts, combine, strategy, None)
-}
-
-fn run_map_records_cancellable<'a>(
+fn run_map_records<'a>(
     program: &dyn Program,
     func: FuncId,
     input: impl Iterator<Item = (&'a [u8], &'a [u8])>,
     parts: usize,
     combine: bool,
-    strategy: CombineStrategy,
     cancel: Option<&AtomicBool>,
 ) -> Result<Vec<Bucket>> {
-    let combining = combine && program.has_combiner(func);
-    if combining && strategy == CombineStrategy::Hash {
+    if combine && program.has_combiner(func) {
         return run_map_task_hash_combine(program, func, input, parts, cancel);
     }
     let mut buckets: Vec<Bucket> = (0..parts).map(|_| Bucket::new()).collect();
@@ -171,22 +101,15 @@ fn run_map_records_cancellable<'a>(
             buckets[p].push(k2, v2);
         })?;
     }
-    if combining {
-        for b in &mut buckets {
-            let taken = std::mem::take(b);
-            *b = combine_bucket(program, func, taken)?;
-        }
-    } else {
-        sort_runs(&mut buckets);
-    }
+    sort_runs(&mut buckets);
     Ok(buckets)
 }
 
 /// Uphold the sorted-run output guarantee on the raw (no-combiner) path:
-/// both combiner strategies already emit each bucket in sorted key order,
-/// so this key-stable in-place sort makes *every* map output bucket a
-/// sorted run. Reduce output is unchanged — the reduce side's stable
-/// sort/merge preserves each bucket's per-key value order either way.
+/// the combiner already emits each bucket in sorted key order, so this
+/// key-stable in-place sort makes *every* map output bucket a sorted run.
+/// Reduce output is unchanged — the reduce side's stable merge preserves
+/// each bucket's per-key value order either way.
 fn sort_runs(buckets: &mut [Bucket]) {
     for b in buckets {
         b.sort();
@@ -222,7 +145,8 @@ fn run_map_task_hash_combine<'a>(
     combiners.into_iter().map(|c| c.finalize(program, func)).collect()
 }
 
-/// Locally sort a bucket and apply the combiner to each key group.
+/// Locally sort a bucket and apply the combiner to each key group: the
+/// sort-then-combine reference for the streaming hash combiner.
 pub fn combine_bucket(program: &dyn Program, func: FuncId, mut bucket: Bucket) -> Result<Bucket> {
     bucket.sort();
     let mut out = Bucket::new();
@@ -233,35 +157,11 @@ pub fn combine_bucket(program: &dyn Program, func: FuncId, mut bucket: Bucket) -
     Ok(out)
 }
 
-/// Run one reduce task: sort the gathered records of one partition, group
-/// by key, and apply reduce function `func` to each group.
-pub fn run_reduce_task(program: &dyn Program, func: FuncId, input: Bucket) -> Result<Bucket> {
-    run_reduce_task_cancellable(program, func, input, None)
-}
-
-/// [`run_reduce_task`] with a cooperative-cancellation flag checked at every
-/// key-group boundary.
-pub fn run_reduce_task_cancellable(
-    program: &dyn Program,
-    func: FuncId,
-    mut input: Bucket,
-    cancel: Option<&AtomicBool>,
-) -> Result<Bucket> {
-    input.sort();
-    let mut out = Bucket::new();
-    for (key, values) in input.groups() {
-        check_cancel(cancel)?;
-        let mut iter = values;
-        program.reduce_bytes(func, key, &mut iter, &mut |k, v| out.push(k, v))?;
-    }
-    Ok(out)
-}
-
-/// [`run_reduce_task`] over pre-sorted runs: stream key groups out of a
-/// k-way [`RunMerger`] straight into the reduce function, never
-/// materializing the concatenated partition. Byte-identical to the
-/// concatenate+sort kernel — the merge breaks equal keys by run index,
-/// reproducing exactly the stable sort's value order.
+/// Run one reduce task over the sorted runs gathered for one partition:
+/// stream key groups out of a k-way [`RunMerger`] straight into reduce
+/// function `func`, never materializing the concatenated partition. The
+/// merge breaks equal keys by run index, so values reach the reducer in
+/// exactly the order a stable sort of the concatenated runs would give.
 pub fn run_reduce_task_merge(
     program: &dyn Program,
     func: FuncId,
@@ -271,7 +171,8 @@ pub fn run_reduce_task_merge(
 }
 
 /// [`run_reduce_task_merge`] with a cooperative-cancellation flag checked
-/// at every key-group boundary.
+/// at every key-group boundary. The three-argument form stays for callers
+/// that never cancel (the in-process planes and the benchmark harness).
 pub fn run_reduce_task_merge_cancellable(
     program: &dyn Program,
     func: FuncId,
@@ -289,52 +190,17 @@ pub fn run_reduce_task_merge_cancellable(
     Ok(out)
 }
 
-/// Run one fused reduce+map task: sort the gathered records of one
-/// partition, reduce each key group, and feed every reduced record
+/// Run one fused reduce+map task over the sorted runs gathered for one
+/// partition: reduce each merged key group and feed every reduced record
 /// straight into map function `map_func`, partitioning the map output into
 /// `parts` buckets — without ever materializing the reduce output. This is
 /// the `reducemap` operation of the paper's iterative pipeline: one task
 /// does the work of a reduce round plus the following map round.
 ///
 /// Because the reduced records are produced in sorted-group order — the
-/// exact order [`run_reduce_task`]'s output bucket would hold them — the
-/// buckets returned here are byte-identical to running the reduce task and
-/// then a map task over its output.
-pub fn run_reduce_map_task(
-    program: &dyn Program,
-    reduce_func: FuncId,
-    map_func: FuncId,
-    input: Bucket,
-    parts: usize,
-    combine: bool,
-) -> Result<Vec<Bucket>> {
-    run_reduce_map_task_cancellable(program, reduce_func, map_func, input, parts, combine, None)
-}
-
-/// [`run_reduce_map_task`] with a cooperative-cancellation flag checked at
-/// every key-group boundary of the reduce pass.
-pub fn run_reduce_map_task_cancellable(
-    program: &dyn Program,
-    reduce_func: FuncId,
-    map_func: FuncId,
-    mut input: Bucket,
-    parts: usize,
-    combine: bool,
-    cancel: Option<&AtomicBool>,
-) -> Result<Vec<Bucket>> {
-    input.sort();
-    run_reduce_map_groups(program, reduce_func, map_func, parts, combine, cancel, &mut |sink| {
-        for (key, values) in input.groups() {
-            let mut iter = values;
-            sink(key, &mut iter)?;
-        }
-        Ok(())
-    })
-}
-
-/// [`run_reduce_map_task`] over pre-sorted runs: the k-way-merge twin of
-/// [`run_reduce_task_merge`], streaming merged key groups through the fused
-/// reduce+map pipeline without concatenating the partition.
+/// exact order [`run_reduce_task_merge`]'s output bucket would hold them —
+/// the buckets returned here are byte-identical to running the reduce task
+/// and then a map task over its output.
 pub fn run_reduce_map_task_merge(
     program: &dyn Program,
     reduce_func: FuncId,
@@ -342,123 +208,47 @@ pub fn run_reduce_map_task_merge(
     runs: &[Bucket],
     parts: usize,
     combine: bool,
-) -> Result<Vec<Bucket>> {
-    run_reduce_map_task_merge_cancellable(
-        program,
-        reduce_func,
-        map_func,
-        runs,
-        parts,
-        combine,
-        None,
-    )
-}
-
-/// [`run_reduce_map_task_merge`] with a cooperative-cancellation flag
-/// checked at every key-group boundary of the reduce pass.
-pub fn run_reduce_map_task_merge_cancellable(
-    program: &dyn Program,
-    reduce_func: FuncId,
-    map_func: FuncId,
-    runs: &[Bucket],
-    parts: usize,
-    combine: bool,
     cancel: Option<&AtomicBool>,
 ) -> Result<Vec<Bucket>> {
-    run_reduce_map_groups(program, reduce_func, map_func, parts, combine, cancel, &mut |sink| {
-        let mut merger = RunMerger::new(runs);
-        let mut spans = Vec::new();
-        while let Some(key) = merger.next_group(&mut spans) {
-            let mut iter =
-                spans.iter().flat_map(|&(r, s, e)| (s..e).map(move |i| runs[r].get(i).1));
-            sink(key, &mut iter)?;
-        }
-        Ok(())
-    })
-}
-
-/// Sink handed one sorted `(key, values)` group at a time by a group
-/// source (see [`run_reduce_map_groups`]).
-type GroupSink<'a> = &'a mut dyn FnMut(&[u8], &mut dyn Iterator<Item = &[u8]>) -> Result<()>;
-
-/// The fused reduce+map pipeline, factored over its group source: `drive`
-/// walks the sorted key groups (from one sorted bucket or a k-way merge)
-/// and hands each to the sink, which reduces it and feeds the reduced
-/// records straight into the map function. Sharing this body is what keeps
-/// the merge and concatenate+sort paths byte-identical by construction.
-fn run_reduce_map_groups(
-    program: &dyn Program,
-    reduce_func: FuncId,
-    map_func: FuncId,
-    parts: usize,
-    combine: bool,
-    cancel: Option<&AtomicBool>,
-    drive: &mut dyn FnMut(GroupSink<'_>) -> Result<()>,
-) -> Result<Vec<Bucket>> {
-    use std::cell::RefCell;
     let combining = combine && program.has_combiner(map_func);
-    // Emit closures cannot return errors, and here two of them nest
-    // (reduce emit wrapping map emit), so failures from either layer are
-    // stashed in one shared slot and re-raised after each reduce call.
-    let deferred: RefCell<Option<Error>> = RefCell::new(None);
-    if combining && CombineStrategy::default() == CombineStrategy::Hash {
-        let combiners: RefCell<Vec<StreamCombiner>> =
-            RefCell::new((0..parts).map(|_| StreamCombiner::new()).collect());
-        drive(&mut |key, values| {
-            check_cancel(cancel)?;
-            program.reduce_bytes(reduce_func, key, values, &mut |rk, rv| {
-                if deferred.borrow().is_some() {
-                    return;
-                }
-                let r = program.map_bytes(map_func, rk, rv, &mut |k2, v2| {
-                    if deferred.borrow().is_some() {
-                        return;
-                    }
-                    let p = program.partition(k2, parts);
-                    if let Err(e) = combiners.borrow_mut()[p].insert(program, map_func, k2, v2) {
-                        *deferred.borrow_mut() = Some(e);
-                    }
-                });
-                if let Err(e) = r {
-                    *deferred.borrow_mut() = Some(e);
-                }
-            })?;
-            match deferred.borrow_mut().take() {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        })?;
-        return combiners.into_inner().into_iter().map(|c| c.finalize(program, map_func)).collect();
-    }
-    let buckets: RefCell<Vec<Bucket>> = RefCell::new((0..parts).map(|_| Bucket::new()).collect());
-    drive(&mut |key, values| {
+    let mut combiners: Vec<StreamCombiner> =
+        if combining { (0..parts).map(|_| StreamCombiner::new()).collect() } else { Vec::new() };
+    let mut buckets: Vec<Bucket> = (0..parts).map(|_| Bucket::new()).collect();
+    let mut merger = RunMerger::new(runs);
+    let mut spans = Vec::new();
+    while let Some(key) = merger.next_group(&mut spans) {
         check_cancel(cancel)?;
-        program.reduce_bytes(reduce_func, key, values, &mut |rk, rv| {
-            if deferred.borrow().is_some() {
+        let mut values = spans.iter().flat_map(|&(r, s, e)| (s..e).map(move |i| runs[r].get(i).1));
+        // Emit closures cannot return errors, and here two of them nest
+        // (reduce emit wrapping map emit), so the first failure from
+        // either layer is stashed and re-raised after the reduce call.
+        let mut deferred: Option<Error> = None;
+        program.reduce_bytes(reduce_func, key, &mut values, &mut |rk, rv| {
+            if deferred.is_some() {
                 return;
             }
             let r = program.map_bytes(map_func, rk, rv, &mut |k2, v2| {
                 let p = program.partition(k2, parts);
-                buckets.borrow_mut()[p].push(k2, v2);
+                if !combining {
+                    buckets[p].push(k2, v2);
+                } else if deferred.is_none() {
+                    if let Err(e) = combiners[p].insert(program, map_func, k2, v2) {
+                        deferred = Some(e);
+                    }
+                }
             });
             if let Err(e) = r {
-                *deferred.borrow_mut() = Some(e);
+                deferred.get_or_insert(e);
             }
         })?;
-        match deferred.borrow_mut().take() {
-            Some(e) => Err(e),
-            None => Ok(()),
+        if let Some(e) = deferred {
+            return Err(e);
         }
-    })?;
-    let mut buckets = buckets.into_inner();
-    if combining {
-        for b in &mut buckets {
-            let taken = std::mem::take(b);
-            *b = combine_bucket(program, map_func, taken)?;
-        }
-    } else {
-        sort_runs(&mut buckets);
     }
+    if combining {
+        return combiners.into_iter().map(|c| c.finalize(program, map_func)).collect();
+    }
+    sort_runs(&mut buckets);
     Ok(buckets)
 }
 
@@ -686,8 +476,8 @@ impl StreamCombiner {
     }
 
     /// Sort groups by key bytes and run the combiner over each, emitting
-    /// into the output bucket — the same visit order as the sort path, so
-    /// both strategies produce identical buckets.
+    /// into the output bucket — the same visit order as [`combine_bucket`],
+    /// so both produce identical buckets.
     fn finalize(mut self, program: &dyn Program, func: FuncId) -> Result<Bucket> {
         let mut order: Vec<u32> = (0..self.groups.len() as u32).collect();
         order.sort_unstable_by(|&a, &b| {
@@ -756,6 +546,33 @@ mod tests {
         v
     }
 
+    /// The concatenate-then-sort reduce: the oracle the merge kernel must
+    /// match byte for byte (a stable sort keeps each key's values in run
+    /// order, exactly like the merge's tie-break by run index).
+    fn reduce_concat_sort(program: &dyn Program, func: FuncId, runs: &[Bucket]) -> Bucket {
+        let mut input = Bucket::new();
+        for r in runs {
+            input.extend_from(r);
+        }
+        input.sort();
+        let mut out = Bucket::new();
+        for (key, values) in input.groups() {
+            let mut iter = values;
+            program.reduce_bytes(func, key, &mut iter, &mut |k, v| out.push(k, v)).unwrap();
+        }
+        out
+    }
+
+    /// Sort-then-combine map: the raw map output, each bucket combined by
+    /// [`combine_bucket`] — the reference for the streaming hash combiner.
+    fn map_sort_combine(program: &dyn Program, input: &[Record], parts: usize) -> Vec<Bucket> {
+        run_map_task(program, 0, input, parts, false)
+            .unwrap()
+            .into_iter()
+            .map(|b| combine_bucket(program, 0, b).unwrap())
+            .collect()
+    }
+
     #[test]
     fn map_then_reduce_counts_words() {
         let p = Simple(WordCount);
@@ -768,7 +585,7 @@ mod tests {
         // Gather all partitions and reduce each.
         let mut all = Bucket::new();
         for b in buckets {
-            let out = run_reduce_task(&p, 0, b).unwrap();
+            let out = run_reduce_task_merge(&p, 0, &[b]).unwrap();
             all.extend_from(&out);
         }
         assert_eq!(counts(&all), vec![("cat".into(), 2), ("sat".into(), 1), ("the".into(), 2)]);
@@ -793,7 +610,7 @@ mod tests {
         let reduce_all = |buckets: Vec<Bucket>| {
             let mut all = Bucket::new();
             for b in buckets {
-                all.extend_from(&run_reduce_task(&p, 0, b).unwrap());
+                all.extend_from(&run_reduce_task_merge(&p, 0, &[b]).unwrap());
             }
             counts(&all)
         };
@@ -807,7 +624,7 @@ mod tests {
         let bucket = Bucket::from_records(input.clone());
         for combine in [false, true] {
             let from_records = run_map_task(&p, 0, &input, 3, combine).unwrap();
-            let from_bucket = run_map_task_bucket(&p, 0, &bucket, 3, combine).unwrap();
+            let from_bucket = run_map_task_bucket(&p, 0, &bucket, 3, combine, None).unwrap();
             assert_eq!(from_records, from_bucket, "combine={combine}");
         }
     }
@@ -822,11 +639,9 @@ mod tests {
             "zebra apple the quick the",
         ]);
         for parts in [1, 2, 5] {
-            let hash =
-                run_map_task_with(&p, 0, &input, parts, true, CombineStrategy::Hash).unwrap();
-            let sort =
-                run_map_task_with(&p, 0, &input, parts, true, CombineStrategy::Sort).unwrap();
-            assert_eq!(hash, sort, "strategies diverged at parts={parts}");
+            let hash = run_map_task(&p, 0, &input, parts, true).unwrap();
+            let sort = map_sort_combine(&p, &input, parts);
+            assert_eq!(hash, sort, "hash combiner diverged from sort-combine at parts={parts}");
         }
     }
 
@@ -837,13 +652,13 @@ mod tests {
         let p = Simple(WordCount);
         let line = "hot ".repeat(10 * FOLD_EVERY);
         let input = lines(&[line.trim()]);
-        let buckets = run_map_task_with(&p, 0, &input, 1, true, CombineStrategy::Hash).unwrap();
+        let buckets = run_map_task(&p, 0, &input, 1, true).unwrap();
         assert_eq!(counts(&buckets[0]), vec![("hot".into(), 10 * FOLD_EVERY as u64)]);
     }
 
     /// A combiner that is *not* key-preserving: it re-keys every group to a
     /// constant. The trial-fold rollback must detect this and defer to
-    /// finalize, where output matches the sort path.
+    /// finalize, where output matches [`combine_bucket`].
     struct Rekey;
 
     impl Program for Rekey {
@@ -927,12 +742,11 @@ mod tests {
     #[test]
     fn empty_input_produces_empty_buckets() {
         let p = Simple(WordCount);
-        for strategy in [CombineStrategy::Hash, CombineStrategy::Sort] {
-            let buckets = run_map_task_with(&p, 0, &[], 2, true, strategy).unwrap();
+        for combine in [false, true] {
+            let buckets = run_map_task(&p, 0, &[], 2, combine).unwrap();
             assert!(buckets.iter().all(|b| b.is_empty()));
         }
-        let out = run_reduce_task(&p, 0, Bucket::new()).unwrap();
-        assert!(out.is_empty());
+        assert!(map_sort_combine(&p, &[], 2).iter().all(|b| b.is_empty()));
     }
 
     #[test]
@@ -940,7 +754,7 @@ mod tests {
         let p = Simple(WordCount);
         let bad = vec![(vec![1u8, 2], b"not a string".to_vec())];
         assert!(run_map_task(&p, 0, &bad, 1, false).is_err());
-        assert!(run_map_task_with(&p, 0, &bad, 1, true, CombineStrategy::Hash).is_err());
+        assert!(run_map_task(&p, 0, &bad, 1, true).is_err());
     }
 
     /// A chainable iterative program over `u64` records: reduce output
@@ -1001,23 +815,17 @@ mod tests {
         b
     }
 
-    #[test]
-    fn fused_kernel_matches_reduce_then_map() {
-        let p = Chain;
-        for parts in [1, 3, 5] {
-            for combine in [false, true] {
-                let fused = run_reduce_map_task(&p, 0, 0, chain_input(), parts, combine).unwrap();
-                let reduced = run_reduce_task(&p, 0, chain_input()).unwrap();
-                let unfused = run_map_task_bucket(&p, 0, &reduced, parts, combine).unwrap();
-                assert_eq!(fused, unfused, "parts={parts} combine={combine}");
-                assert_eq!(fused.len(), parts);
-            }
-        }
+    /// Per-partition runs from two Chain producers — the shape a fused
+    /// task's reduce side sees after a shuffle.
+    fn chain_runs(parts: usize) -> Vec<Vec<Bucket>> {
+        let a = run_map_task_bucket(&Chain, 0, &chain_input(), parts, false, None).unwrap();
+        let b = run_map_task_bucket(&Chain, 0, &chain_input(), parts, false, None).unwrap();
+        (0..parts).map(|p| vec![a[p].clone(), b[p].clone()]).collect()
     }
 
     #[test]
     fn fused_kernel_on_empty_input_is_empty() {
-        let fused = run_reduce_map_task(&Chain, 0, 0, Bucket::new(), 2, false).unwrap();
+        let fused = run_reduce_map_task_merge(&Chain, 0, 0, &[], 2, false, None).unwrap();
         assert!(fused.iter().all(|b| b.is_empty()));
     }
 
@@ -1027,23 +835,15 @@ mod tests {
         let flag = AtomicBool::new(true);
         let input = Bucket::from_records(lines(&["the cat sat", "on the mat"]));
         for combine in [false, true] {
-            let r = run_map_task_bucket_cancellable(&p, 0, &input, 2, combine, Some(&flag));
+            let r = run_map_task_bucket(&p, 0, &input, 2, combine, Some(&flag));
             assert!(matches!(r, Err(Error::Cancelled)), "map combine={combine}");
         }
-        let mut gathered = Bucket::new();
-        gathered.push(&"w".to_string().to_bytes(), &1u64.to_bytes());
-        let r = run_reduce_task_cancellable(&p, 0, gathered, Some(&flag));
+        let runs = shuffled_runs(1).remove(0);
+        let r = run_reduce_task_merge_cancellable(&p, 0, &runs, Some(&flag));
         assert!(matches!(r, Err(Error::Cancelled)), "reduce");
         for combine in [false, true] {
-            let r = run_reduce_map_task_cancellable(
-                &Chain,
-                0,
-                0,
-                chain_input(),
-                2,
-                combine,
-                Some(&flag),
-            );
+            let runs = chain_runs(1).remove(0);
+            let r = run_reduce_map_task_merge(&Chain, 0, 0, &runs, 2, combine, Some(&flag));
             assert!(matches!(r, Err(Error::Cancelled)), "reducemap combine={combine}");
         }
     }
@@ -1054,15 +854,17 @@ mod tests {
         let flag = AtomicBool::new(false);
         let input = Bucket::from_records(lines(&["the cat sat", "the cat"]));
         for combine in [false, true] {
-            let plain = run_map_task_bucket(&p, 0, &input, 3, combine).unwrap();
-            let flagged =
-                run_map_task_bucket_cancellable(&p, 0, &input, 3, combine, Some(&flag)).unwrap();
+            let plain = run_map_task_bucket(&p, 0, &input, 3, combine, None).unwrap();
+            let flagged = run_map_task_bucket(&p, 0, &input, 3, combine, Some(&flag)).unwrap();
             assert_eq!(plain, flagged, "combine={combine}");
         }
-        let fused = run_reduce_map_task(&Chain, 0, 0, chain_input(), 3, true).unwrap();
-        let flagged =
-            run_reduce_map_task_cancellable(&Chain, 0, 0, chain_input(), 3, true, Some(&flag))
-                .unwrap();
+        let runs = shuffled_runs(1).remove(0);
+        let plain = run_reduce_task_merge(&p, 0, &runs).unwrap();
+        let flagged = run_reduce_task_merge_cancellable(&p, 0, &runs, Some(&flag)).unwrap();
+        assert_eq!(plain, flagged);
+        let runs = chain_runs(1).remove(0);
+        let fused = run_reduce_map_task_merge(&Chain, 0, 0, &runs, 3, true, None).unwrap();
+        let flagged = run_reduce_map_task_merge(&Chain, 0, 0, &runs, 3, true, Some(&flag)).unwrap();
         assert_eq!(fused, flagged);
     }
 
@@ -1071,16 +873,13 @@ mod tests {
         let p = Simple(WordCount);
         let input = lines(&["zebra the mat cat", "the cat apple zebra"]);
         for combine in [false, true] {
-            for strategy in [CombineStrategy::Hash, CombineStrategy::Sort] {
-                let buckets = run_map_task_with(&p, 0, &input, 3, combine, strategy).unwrap();
-                for b in &buckets {
-                    assert!(b.is_sorted(), "combine={combine} strategy={strategy:?}");
-                }
-            }
+            let buckets = run_map_task(&p, 0, &input, 3, combine).unwrap();
+            assert!(buckets.iter().all(Bucket::is_sorted), "combine={combine}");
         }
         // The fused kernel's map output upholds the same guarantee.
         for combine in [false, true] {
-            let fused = run_reduce_map_task(&Chain, 0, 0, chain_input(), 3, combine).unwrap();
+            let runs = chain_runs(1).remove(0);
+            let fused = run_reduce_map_task_merge(&Chain, 0, 0, &runs, 3, combine, None).unwrap();
             assert!(fused.iter().all(Bucket::is_sorted), "fused combine={combine}");
         }
     }
@@ -1100,49 +899,29 @@ mod tests {
     fn merge_reduce_matches_concat_sort_reduce() {
         let p = Simple(WordCount);
         for runs in shuffled_runs(3) {
-            let mut concat = Bucket::new();
-            for r in &runs {
-                concat.extend_from(r);
-            }
-            let oracle = run_reduce_task(&p, 0, concat).unwrap();
             let merged = run_reduce_task_merge(&p, 0, &runs).unwrap();
-            assert_eq!(merged, oracle);
+            assert_eq!(merged, reduce_concat_sort(&p, 0, &runs));
         }
     }
 
+    /// The fused kernel equals the concat+sort reduce followed by a map
+    /// over its output — the unfused plan it replaces.
     #[test]
-    fn merge_reduce_map_matches_concat_sort_reduce_map() {
-        // Chain records keyed 0..5 across two producer runs, per partition.
-        let runs_a = run_map_task_bucket(&Chain, 0, &chain_input(), 2, false).unwrap();
-        let runs_b = run_map_task_bucket(&Chain, 0, &chain_input(), 2, false).unwrap();
-        for part in 0..2 {
-            let runs = vec![runs_a[part].clone(), runs_b[part].clone()];
-            for parts in [1, 3] {
+    fn merge_reduce_map_matches_concat_sort_reduce_then_map() {
+        for (part, runs) in chain_runs(2).into_iter().enumerate() {
+            let reduced = reduce_concat_sort(&Chain, 0, &runs);
+            for parts in [1, 3, 5] {
                 for combine in [false, true] {
-                    let mut concat = Bucket::new();
-                    for r in &runs {
-                        concat.extend_from(r);
-                    }
-                    let oracle = run_reduce_map_task(&Chain, 0, 0, concat, parts, combine).unwrap();
-                    let merged =
-                        run_reduce_map_task_merge(&Chain, 0, 0, &runs, parts, combine).unwrap();
-                    assert_eq!(merged, oracle, "part={part} parts={parts} combine={combine}");
+                    let oracle =
+                        run_map_task_bucket(&Chain, 0, &reduced, parts, combine, None).unwrap();
+                    let fused =
+                        run_reduce_map_task_merge(&Chain, 0, 0, &runs, parts, combine, None)
+                            .unwrap();
+                    assert_eq!(fused, oracle, "part={part} parts={parts} combine={combine}");
+                    assert_eq!(fused.len(), parts);
                 }
             }
         }
-    }
-
-    #[test]
-    fn merge_kernels_honor_cancellation() {
-        let p = Simple(WordCount);
-        let flag = AtomicBool::new(true);
-        let runs = shuffled_runs(1).remove(0);
-        let r = run_reduce_task_merge_cancellable(&p, 0, &runs, Some(&flag));
-        assert!(matches!(r, Err(Error::Cancelled)));
-        let chain_runs = run_map_task_bucket(&Chain, 0, &chain_input(), 1, false).unwrap();
-        let r =
-            run_reduce_map_task_merge_cancellable(&Chain, 0, 0, &chain_runs, 2, true, Some(&flag));
-        assert!(matches!(r, Err(Error::Cancelled)));
     }
 
     #[test]
@@ -1150,16 +929,6 @@ mod tests {
         let p = Simple(WordCount);
         assert!(run_reduce_task_merge(&p, 0, &[]).unwrap().is_empty());
         assert!(run_reduce_task_merge(&p, 0, &[Bucket::new(), Bucket::new()]).unwrap().is_empty());
-        let fused = run_reduce_map_task_merge(&Chain, 0, 0, &[], 2, false).unwrap();
-        assert!(fused.iter().all(|b| b.is_empty()));
-    }
-
-    #[test]
-    fn merge_mode_parses() {
-        assert_eq!(MergeMode::parse("merge").unwrap(), MergeMode::Merge);
-        assert_eq!(MergeMode::parse("sort").unwrap(), MergeMode::Sort);
-        assert!(MergeMode::parse("bogus").is_err());
-        assert_eq!(MergeMode::default(), MergeMode::Merge);
     }
 
     #[test]
@@ -1171,7 +940,8 @@ mod tests {
         let mut input = Bucket::new();
         input.push(&"w".to_string().to_bytes(), &1u64.to_bytes());
         for combine in [false, true] {
-            assert!(run_reduce_map_task(&p, 0, 0, input.clone(), 1, combine).is_err());
+            let runs = [input.clone()];
+            assert!(run_reduce_map_task_merge(&p, 0, 0, &runs, 1, combine, None).is_err());
         }
     }
 }

@@ -159,6 +159,43 @@ pub struct HttpServer {
 
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Largest message body either side accepts (1 GiB). A peer declaring a
+/// bigger `Content-Length`, or streaming more bytes than this without one,
+/// gets an error and the connection is dropped — a header alone can never
+/// make this process allocate.
+const MAX_BODY: usize = 1 << 30;
+
+/// Up-front buffer for a body; beyond this the buffer grows only as bytes
+/// actually arrive.
+const BODY_PREALLOC: usize = 1 << 20;
+
+/// Read a message body of `len` bytes (to EOF when `None`), refusing
+/// anything over `max` ([`MAX_BODY`] on the wire). Shared by the server's
+/// request path and the client's response path.
+fn read_body<R: Read>(reader: &mut R, len: Option<usize>, max: usize) -> std::io::Result<Vec<u8>> {
+    let too_large = || {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("message body exceeds the {max}-byte limit"),
+        )
+    };
+    let limit = match len {
+        Some(n) if n > max => return Err(too_large()),
+        Some(n) => n,
+        None => max + 1,
+    };
+    let mut body = Vec::with_capacity(limit.min(BODY_PREALLOC));
+    reader.take(limit as u64).read_to_end(&mut body)?;
+    match len {
+        Some(n) if body.len() < n => Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("body ended after {} of {n} bytes", body.len()),
+        )),
+        None if body.len() > max => Err(too_large()),
+        _ => Ok(body),
+    }
+}
+
 impl HttpServer {
     /// Bind to `127.0.0.1:port` (0 = ephemeral) and start serving with
     /// default options (keep-alive on).
@@ -344,8 +381,7 @@ fn read_request<R: BufRead>(reader: &mut R) -> std::io::Result<Option<(Request, 
             }
         }
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    let body = read_body(reader, Some(content_length), MAX_BODY)?;
     let closes = connection.contains("close") || (http10 && !connection.contains("keep-alive"));
     Ok(Some((Request { method, path, body }, closes)))
 }
@@ -522,19 +558,10 @@ impl HttpClient {
                 }
             }
         }
-        let mut body = Vec::new();
-        match content_length {
-            Some(n) => {
-                body.resize(n, 0);
-                reader.read_exact(&mut body)?;
-            }
-            None => {
-                // Without a length the body runs to EOF, which also means
-                // the connection cannot be reused.
-                keep_alive = false;
-                reader.read_to_end(&mut body)?;
-            }
-        }
+        // Without a length the body runs to EOF, which also means the
+        // connection cannot be reused.
+        keep_alive &= content_length.is_some();
+        let body = read_body(&mut reader, content_length, MAX_BODY)?;
         Ok((status, body, keep_alive))
     }
 
@@ -726,5 +753,61 @@ mod tests {
         // add to the counters concurrently, so compare deltas loosely).
         assert!(o1 - o0 >= 1);
         assert!(r1 - r0 >= 5, "expected >=5 reuses, got {}", r1 - r0);
+    }
+
+    /// A request declaring an impossible body is refused before any
+    /// allocation: the connection gets no response and is closed, and
+    /// the server goes on serving the next connection.
+    #[test]
+    fn oversized_request_content_length_is_refused() {
+        let server = echo_server();
+        let authority = server.authority();
+        for declared in [u64::MAX, MAX_BODY as u64 + 1] {
+            let mut conn = TcpStream::connect(&authority).unwrap();
+            let head = format!("POST /x HTTP/1.1\r\nContent-Length: {declared}\r\n\r\nabc");
+            conn.write_all(head.as_bytes()).unwrap();
+            let mut resp = Vec::new();
+            let _ = conn.read_to_end(&mut resp); // EOF (or reset): the server hung up
+            assert!(!String::from_utf8_lossy(&resp).contains("200"), "declared {declared}");
+        }
+        let (status, body) = HttpClient::get(&authority, "/next").unwrap();
+        assert_eq!((status, body.as_slice()), (200, &b"GET /next "[..]));
+    }
+
+    /// The client applies the same limit to a response's declared length.
+    #[test]
+    fn oversized_response_content_length_is_refused() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let authority = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(conn.try_clone().unwrap());
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap() > 0 && line != "\r\n" {
+                line.clear();
+            }
+            let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", u64::MAX);
+            let _ = conn.write_all(head.as_bytes());
+        });
+        let err = HttpClient::get(&authority, "/big").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn body_reader_enforces_the_limit_with_and_without_a_length() {
+        use std::io::ErrorKind;
+        let data = vec![5u8; 100];
+        assert_eq!(read_body(&mut data.as_slice(), Some(100), 100).unwrap(), data);
+        assert_eq!(read_body(&mut data.as_slice(), None, 100).unwrap(), data);
+        let short = read_body(&mut data.as_slice(), Some(101), MAX_BODY).unwrap_err();
+        assert_eq!(short.kind(), ErrorKind::UnexpectedEof);
+        let huge = read_body(&mut data.as_slice(), Some(usize::MAX), MAX_BODY).unwrap_err();
+        assert_eq!(huge.kind(), ErrorKind::InvalidData);
+        let over = read_body(&mut data.as_slice(), Some(100), 99).unwrap_err();
+        assert_eq!(over.kind(), ErrorKind::InvalidData);
+        // Without a length the limit still holds, after reading one byte past it.
+        let endless = read_body(&mut std::io::repeat(0), None, 64).unwrap_err();
+        assert_eq!(endless.kind(), ErrorKind::InvalidData);
     }
 }

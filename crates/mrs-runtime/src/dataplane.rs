@@ -92,7 +92,7 @@ pub fn record_overlap(overlap: std::time::Duration) {
     OVERLAP_MICROS.fetch_add(overlap.as_micros() as u64, Ordering::Relaxed);
 }
 
-/// Record one merge-mode reduce input being assembled: `runs` decoded
+/// Record one merge reduce input being assembled: `runs` decoded
 /// runs (of which `presorted` arrived already sorted), `records` total
 /// input records, and the `assembly` wall time spent getting them
 /// merge-ready (decode plus any demotion sorts).
@@ -134,7 +134,7 @@ pub struct DataPlaneStats {
     /// Microseconds warm fragments sat ready before their reduce-like
     /// task consumed them (transfer hidden behind map execution).
     pub overlap_micros: u64,
-    /// Input runs consumed by merge-mode reduce tasks.
+    /// Input runs consumed by merge reduce tasks.
     pub merge_runs: u64,
     /// Of those, runs that arrived already in sorted key order.
     pub presorted_runs: u64,

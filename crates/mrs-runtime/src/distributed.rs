@@ -13,7 +13,7 @@ use crate::dataplane::{self, DataPlaneStats};
 use crate::job::JobApi;
 use crate::master::{Master, MasterConfig, SlaveId};
 use crate::metrics::JobMetrics;
-use crate::proto::{DataPlane, Dispatch, TaskReport, TraceBatch};
+use crate::proto::{wire_attempt, wire_int, DataPlane, Dispatch, TaskReport, TraceBatch};
 use crate::slave::{run_slave, MasterLink, SlaveOptions};
 use mrs_core::{Error, FuncId, Program, Record, Result};
 use mrs_rpc::rpc::{Dispatch as RpcDispatch, RpcClient, RpcServer};
@@ -36,86 +36,81 @@ pub fn serve_master(master: Master, port: u16) -> std::io::Result<RpcServer> {
                 .first()
                 .and_then(Value::as_str)
                 .ok_or((3, "signin: missing authority".to_owned()))?;
-            // Slot count; older single-slot callers may omit it.
-            let slots = params.get(1).and_then(Value::as_int).unwrap_or(1).max(1) as usize;
+            let slots: usize = param(params, 1, "signin slots")?;
             Ok(Value::Int(m1.signin(authority, slots) as i64))
         })
         .register("get_task", move |params| {
-            let slave = params
-                .first()
-                .and_then(Value::as_int)
-                .ok_or((3, "get_task: missing slave id".to_owned()))?;
-            // Free slot count; omitted means a single-task poll.
-            let free = params.get(1).and_then(Value::as_int).unwrap_or(1).max(1) as usize;
-            // Requested long-poll park in milliseconds; older pollers omit
-            // it and get the immediate-return behaviour.
-            let park = Duration::from_millis(
-                params.get(2).and_then(Value::as_int).unwrap_or(0).max(0) as u64,
-            );
-            // Piggybacked completion reports; older pollers omit them.
-            let reports = match params.get(3).and_then(Value::as_array) {
-                Some(items) => items
-                    .iter()
-                    .map(TaskReport::from_value)
-                    .collect::<Result<Vec<_>>>()
-                    .map_err(|e| (3, format!("get_task: bad report: {e}")))?,
-                None => Vec::new(),
-            };
-            // Piggybacked trace-event delta; legacy (and tracing-off)
-            // slaves omit it.
+            let slave = param(params, 0, "get_task slave")?;
+            // Free slots; 0 is a full slave's heartbeat poll.
+            let free: usize = param(params, 1, "get_task free")?;
+            // Requested long-poll park in milliseconds (0 = answer now).
+            let park = Duration::from_millis(param(params, 2, "get_task park")?);
+            // Piggybacked completion reports (possibly none).
+            let reports = params
+                .get(3)
+                .and_then(Value::as_array)
+                .ok_or((3, "get_task: missing reports".to_owned()))?
+                .iter()
+                .map(TaskReport::from_value)
+                .collect::<Result<Vec<_>>>()
+                .map_err(|e| (3, format!("get_task: bad report: {e}")))?;
+            // Piggybacked trace-event delta; omitted when there is nothing
+            // to ship (tracing off, or an idle slave).
             let trace = match params.get(4) {
                 Some(v) => TraceBatch::from_value(v)
                     .map_err(|e| (3, format!("get_task: bad trace batch: {e}")))?,
                 None => TraceBatch::default(),
             };
-            Ok(m2.get_dispatch_traced(slave as SlaveId, free, park, &reports, &trace).to_value())
+            Ok(m2.get_dispatch_traced(slave, free, park, &reports, &trace).to_value())
         })
         .register("task_done", move |params| {
-            let (slave, data, index, urls) = parse_report(params)?;
-            // Attempt id; legacy slaves omit it and report 0 (matched by
-            // slave alone at the master's commit point).
-            let attempt = params.get(4).and_then(Value::as_int).unwrap_or(0).max(0) as u32;
+            let slave = param(params, 0, "task_done slave")?;
+            let data = param(params, 1, "task_done data")?;
+            let index = param(params, 2, "task_done index")?;
+            let urls = params
+                .get(3)
+                .and_then(Value::as_array)
+                .ok_or((3, "task_done: missing urls".to_owned()))?
+                .iter()
+                .map(|v| v.as_str().map(str::to_owned).ok_or((3, "non-string url".to_owned())))
+                .collect::<std::result::Result<Vec<_>, _>>()?;
+            let attempt = wire_attempt(params.get(4), "task_done attempt").map_err(fault)?;
             m3.task_done(slave, data, index, attempt, urls);
             Ok(Value::Bool(true))
         })
         .register("task_failed", move |params| {
-            let slave =
-                params.first().and_then(Value::as_int).ok_or((3, "missing slave".to_owned()))?;
-            let data =
-                params.get(1).and_then(Value::as_int).ok_or((3, "missing data".to_owned()))?;
-            let index =
-                params.get(2).and_then(Value::as_int).ok_or((3, "missing index".to_owned()))?;
-            let msg = params.get(3).and_then(Value::as_str).unwrap_or("unknown error");
-            let failed_input = params.get(4).and_then(Value::as_str).filter(|u| !u.is_empty());
-            // Attempt id; legacy slaves omit it (0 = match by slave alone).
-            let attempt = params.get(5).and_then(Value::as_int).unwrap_or(0).max(0) as u32;
-            m4.task_failed(
-                slave as SlaveId,
-                data as u32,
-                index as usize,
-                attempt,
-                msg,
-                failed_input,
-            );
+            let slave = param(params, 0, "task_failed slave")?;
+            let data = param(params, 1, "task_failed data")?;
+            let index = param(params, 2, "task_failed index")?;
+            let msg = params
+                .get(3)
+                .and_then(Value::as_str)
+                .ok_or((3, "task_failed: missing message".to_owned()))?;
+            // The unfetchable input URL of a fetch failure; empty otherwise.
+            let failed_input = params
+                .get(4)
+                .and_then(Value::as_str)
+                .ok_or((3, "task_failed: missing failed input".to_owned()))?;
+            let attempt = wire_attempt(params.get(5), "task_failed attempt").map_err(fault)?;
+            let failed_input = Some(failed_input).filter(|u| !u.is_empty());
+            m4.task_failed(slave, data, index, attempt, msg, failed_input);
             Ok(Value::Bool(true))
         });
     RpcServer::serve(port, dispatch)
 }
 
-type ReportArgs = (SlaveId, u32, usize, Vec<String>);
+/// A decode error as an XML-RPC fault.
+fn fault(e: Error) -> (i64, String) {
+    (3, e.to_string())
+}
 
-fn parse_report(params: &[Value]) -> std::result::Result<ReportArgs, (i64, String)> {
-    let slave = params.first().and_then(Value::as_int).ok_or((3, "missing slave".to_owned()))?;
-    let data = params.get(1).and_then(Value::as_int).ok_or((3, "missing data".to_owned()))?;
-    let index = params.get(2).and_then(Value::as_int).ok_or((3, "missing index".to_owned()))?;
-    let urls = params
-        .get(3)
-        .and_then(Value::as_array)
-        .ok_or((3, "missing urls".to_owned()))?
-        .iter()
-        .map(|v| v.as_str().map(str::to_owned).ok_or((3, "non-string url".to_owned())))
-        .collect::<std::result::Result<Vec<_>, _>>()?;
-    Ok((slave as SlaveId, data as u32, index as usize, urls))
+/// Required positional integer parameter `i`, range-checked into `T`.
+fn param<T: TryFrom<i64>>(
+    params: &[Value],
+    i: usize,
+    what: &str,
+) -> std::result::Result<T, (i64, String)> {
+    wire_int(params.get(i), what).map_err(fault)
 }
 
 /// Slave-side stub speaking XML-RPC to a remote master.
@@ -154,8 +149,7 @@ impl MasterLink for RpcMasterLink {
             reports,
         ];
         // The trace delta rides as an optional trailing param: an empty
-        // batch is omitted entirely, so tracing-off slaves put the exact
-        // legacy request on the wire.
+        // batch is omitted entirely.
         if !trace.is_empty() {
             params.push(trace.to_value());
         }
@@ -256,15 +250,11 @@ impl LocalCluster {
         cfg: MasterConfig,
         mut options: SlaveOptions,
     ) -> Result<LocalCluster> {
-        // The control mode is a cluster-wide property: slaves must match
-        // the master or the long-poll/piggyback negotiation degrades to
-        // the backward-compat fallbacks on every round trip. Compression
-        // would interoperate mixed (decoders auto-detect), but a uniform
-        // default keeps the benchmarks honest; add_slave_with can diverge.
-        options.control = cfg.control;
+        // Compression would interoperate mixed (decoders auto-detect), but
+        // a uniform default keeps the benchmarks honest; add_slave_with can
+        // diverge.
         options.compress = cfg.compress;
         options.eager_shuffle = cfg.eager_shuffle;
-        options.merge = cfg.merge;
         options.trace = cfg.trace;
         let master = Master::new(cfg, plane.clone())?;
         let server = serve_master(master.clone(), 0).map_err(Error::Io)?;
@@ -628,7 +618,7 @@ mod tests {
         };
         assert_eq!(serial, distributed);
         // The tracing-off arm must agree byte for byte: with no trace the
-        // slave's get_task request is the exact legacy wire form.
+        // slave's get_task request carries no trace parameter.
         let untraced = {
             let cfg = MasterConfig { trace: false, ..MasterConfig::default() };
             let opts = SlaveOptions { trace: false, ..SlaveOptions::default() };
@@ -808,5 +798,99 @@ mod tests {
                 trace.events.extend(more.events);
             }
         }
+    }
+
+    /// The control RPCs take exactly the parameters the slave sends: a
+    /// call with a missing positional parameter, a report without a real
+    /// attempt id, or a negative id is a fault — never a default — and
+    /// the master keeps serving well-formed calls afterwards.
+    #[test]
+    fn malformed_control_calls_are_faults() {
+        use crate::proto::Assignment;
+        use mrs_fs::format::write_bucket_bytes;
+        let store: Arc<dyn mrs_fs::Store> = Arc::new(MemFs::new());
+        let mut master =
+            Master::new(MasterConfig::default(), DataPlane::SharedFs(Arc::clone(&store))).unwrap();
+        let server = serve_master(master.clone(), 0).unwrap();
+        let rpc = RpcClient::new(server.authority());
+        let int = |i: i64| Value::Int(i);
+        let call = |method: &str, params: &[Value]| rpc.call(method, params);
+
+        assert!(call("signin", &[Value::Str("a:1".into())]).is_err(), "slots required");
+        let slave = call("signin", &[Value::Str("a:1".into()), int(1)]).unwrap();
+        let src = master.local_data(vec![(b"k".to_vec(), b"v".to_vec())], 1).unwrap();
+        let mapped = master.map_data(src, 0, 1, false).unwrap();
+
+        let no_reports = Value::Array(vec![]);
+        for params in [
+            vec![slave.clone()],
+            vec![slave.clone(), int(1)],
+            vec![slave.clone(), int(1), int(0)],
+            vec![int(-1), int(1), int(0), no_reports.clone()],
+            vec![slave.clone(), int(-1), int(0), no_reports.clone()],
+        ] {
+            assert!(call("get_task", &params).is_err(), "get_task {params:?} must fault");
+        }
+        let granted = call("get_task", &[slave.clone(), int(1), int(0), no_reports]).unwrap();
+        let Assignment::Tasks(tasks) = Assignment::from_value(&granted).unwrap() else {
+            panic!("expected a task")
+        };
+        let t = &tasks[0];
+        store.put("out/b0", &write_bucket_bytes(&[])).unwrap();
+        let urls = Value::Array(vec![Value::Str("file://out/b0".into())]);
+        let done = |attempt: Option<i64>| {
+            let mut p = vec![slave.clone(), int(t.data as i64), int(t.index as i64), urls.clone()];
+            p.extend(attempt.map(int));
+            call("task_done", &p)
+        };
+        assert!(done(None).is_err(), "task_done without an attempt");
+        assert!(done(Some(0)).is_err(), "task_done with attempt 0");
+        assert!(done(Some(-2)).is_err(), "task_done with a negative attempt");
+        let failed = |attempt: i64| {
+            let p = [
+                slave.clone(),
+                int(t.data as i64),
+                int(t.index as i64),
+                Value::Str("boom".into()),
+                Value::Str(String::new()),
+                int(attempt),
+            ];
+            call("task_failed", &p)
+        };
+        assert!(failed(0).is_err(), "task_failed with attempt 0");
+        // Ids that name no task are ignored, not indexed blindly.
+        for (data, index) in [(t.data as i64, 99), (99, 0)] {
+            let p = [slave.clone(), int(data), int(index), urls.clone(), int(1)];
+            call("task_done", &p).unwrap();
+            let p = [
+                slave.clone(),
+                int(data),
+                int(index),
+                Value::Str("boom".into()),
+                Value::Str(String::new()),
+                int(1),
+            ];
+            call("task_failed", &p).unwrap();
+        }
+        // A piggybacked report without an attempt is rejected with the poll.
+        let mut report = crate::proto::TaskReport {
+            data: t.data,
+            index: t.index,
+            attempt: t.attempt,
+            urls: vec!["file://out/b0".into()],
+        }
+        .to_value();
+        if let Value::Struct(m) = &mut report {
+            m.remove("attempt");
+        }
+        let poll = [slave.clone(), int(1), int(0), Value::Array(vec![report])];
+        assert!(call("get_task", &poll).is_err());
+        assert_eq!(master.metrics().tasks_executed(), 0, "no malformed call committed");
+
+        done(Some(t.attempt as i64)).unwrap();
+        master.wait(mapped).unwrap();
+        assert_eq!(master.metrics().tasks_executed(), 1);
+        assert_eq!(master.metrics().tasks_retried(), 0);
+        master.finish();
     }
 }

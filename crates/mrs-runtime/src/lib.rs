@@ -19,8 +19,8 @@
 //! one prefetch buffer) and asks for up to its free capacity per poll.
 //! Inside the slave, the poll loop prefetches task inputs into a bounded
 //! queue that a pool of worker threads drains — fetch, compute, and
-//! report overlap (double buffering), and an idle slave backs off its
-//! poll interval exponentially until work reappears. The master dispatches
+//! report overlap (double buffering), and a fully idle slave parks its
+//! poll at the master until work reappears. The master dispatches
 //! batches up to each slave's capacity, breaks affinity ties toward
 //! underloaded slaves, steals claims only from fractionally busier
 //! owners, and on a slave death re-queues *all* of its in-flight tasks.
@@ -36,15 +36,17 @@
 //! poll, and a stale report from a loser is recognized by its attempt id
 //! and ignored.
 //!
-//! Its control plane is event-driven ([`proto::ControlMode::LongPoll`],
-//! the default): an idle slave's `get_task` parks server-side on a
-//! condvar until a state transition makes work runnable (long-poll
-//! dispatch), completion reports ride piggybacked on the next poll
-//! instead of costing their own RPC, and the driver's `wait`/`fetch_all`
-//! and the dead-slave sweeper sleep on the completion condvar with a
-//! deadline at the earliest possible slave death. The legacy
-//! sleep-and-poll plane remains available as `ControlMode::Poll`
-//! (`--mrs-control=poll`) for comparison benchmarks.
+//! Its control plane is event-driven: an idle slave's `get_task` parks
+//! server-side on a condvar until a state transition makes work runnable
+//! (long-poll dispatch), completion reports ride piggybacked on the next
+//! poll instead of costing their own RPC, and the driver's
+//! `wait`/`fetch_all` and the dead-slave sweeper sleep on the completion
+//! condvar with a deadline at the earliest possible slave death.
+//!
+//! Every implementation reduces the same way: map tasks emit each output
+//! bucket as a sorted run, and every reduce-like task streams a k-way
+//! merge over the runs of its partition
+//! ([`mrs_core::task::run_reduce_task_merge`]).
 //! * the **bypass** implementation is a plain function call in Rust: run
 //!   your serial code directly (see `examples/`).
 //!
@@ -71,7 +73,6 @@ pub use job::{Job, JobApi};
 pub use local::LocalRuntime;
 pub use master::{Master, MasterConfig};
 pub use mrs_codec::CompressMode;
-pub use mrs_core::MergeMode;
-pub use proto::{ControlMode, DataPlane, SpeculateMode};
+pub use proto::{DataPlane, SpeculateMode};
 pub use serial::SerialRuntime;
 pub use slave::SlaveOptions;

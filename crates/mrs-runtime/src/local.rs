@@ -23,10 +23,7 @@ use crate::dataplane::DataPlaneStats;
 use crate::job::JobApi;
 use crate::metrics::JobMetrics;
 use mrs_codec::CompressMode;
-use mrs_core::task::{
-    run_map_task, run_reduce_map_task, run_reduce_map_task_merge, run_reduce_task,
-    run_reduce_task_merge, MergeMode,
-};
+use mrs_core::task::{run_map_task, run_reduce_map_task_merge, run_reduce_task_merge};
 use mrs_core::{Bucket, Error, FuncId, Program, Record, Result};
 use mrs_fs::format::write_bucket;
 use mrs_fs::Store;
@@ -100,8 +97,6 @@ struct State {
     pins: HashSet<u32>,
     /// When set, lifetime GC is disabled (`--mrs-keep-data`).
     keep_data: bool,
-    /// How reduce-like tasks assemble their input (`--mrs-merge`).
-    merge: MergeMode,
     /// Tasks not yet ready to run.
     pending: Vec<TaskRef>,
     /// Tasks ready to run.
@@ -161,7 +156,6 @@ impl LocalRuntime {
                 consumers: Vec::new(),
                 pins: HashSet::new(),
                 keep_data: false,
-                merge: MergeMode::default(),
                 pending: Vec::new(),
                 queue: VecDeque::new(),
                 error: None,
@@ -204,11 +198,6 @@ impl LocalRuntime {
     /// finishes; `--mrs-keep-data` routes here.
     pub fn set_keep_data(&mut self, keep: bool) {
         self.shared.state.lock().keep_data = keep;
-    }
-
-    /// Choose how reduce-like tasks assemble their input (`--mrs-merge`).
-    pub fn set_merge_mode(&mut self, merge: MergeMode) {
-        self.shared.state.lock().merge = merge;
     }
 }
 
@@ -280,7 +269,7 @@ fn task_input(st: &mut State, t: TaskRef, count_handover: bool) -> Result<TaskWo
         }
         DsState::ReduceOut { input, func, .. } => {
             let func = *func;
-            let (input, handovers) = gather_partition(st, *input, t.index)?;
+            let (runs, handovers) = gather_partition(st, *input, t.index)?;
             if count_handover {
                 st.metrics.record_dataplane(DataPlaneStats {
                     shortcircuit_fetches: handovers,
@@ -288,12 +277,12 @@ fn task_input(st: &mut State, t: TaskRef, count_handover: bool) -> Result<TaskWo
                     ..DataPlaneStats::default()
                 });
             }
-            Ok(TaskWork::Reduce { input, func })
+            Ok(TaskWork::Reduce { runs, func })
         }
         DsState::ReduceMapOut { input, reduce_func, map_func, parts, combine, .. } => {
             let (reduce_func, map_func, parts, combine) =
                 (*reduce_func, *map_func, *parts, *combine);
-            let (input, handovers) = gather_partition(st, *input, t.index)?;
+            let (runs, handovers) = gather_partition(st, *input, t.index)?;
             if count_handover {
                 st.metrics.record_dataplane(DataPlaneStats {
                     shortcircuit_fetches: handovers,
@@ -301,25 +290,16 @@ fn task_input(st: &mut State, t: TaskRef, count_handover: bool) -> Result<TaskWo
                     ..DataPlaneStats::default()
                 });
             }
-            Ok(TaskWork::ReduceMap { input, reduce_func, map_func, parts, combine })
+            Ok(TaskWork::ReduceMap { runs, reduce_func, map_func, parts, combine })
         }
         _ => Err(Error::Invalid("task on non-op dataset".into())),
     }
 }
 
-/// One reduce-like task's gathered input, shaped by the [`MergeMode`]:
-/// the per-task runs kept separate for the k-way merge, or partition
-/// `index` of every task concatenated into one bucket.
-enum ReduceInput {
-    Runs(Vec<Bucket>),
-    Concat(Bucket),
-}
-
-/// Gather partition `index` of every task of a map-like dataset,
-/// returning the input (shaped by the configured merge mode) and the
-/// number of in-memory handovers.
-fn gather_partition(st: &mut State, input: DataId, index: usize) -> Result<(ReduceInput, u64)> {
-    let merge = st.merge;
+/// Gather partition `index` of every task of a map-like dataset as
+/// separate sorted runs for the k-way merge, returning them and the number
+/// of in-memory handovers.
+fn gather_partition(st: &mut State, input: DataId, index: usize) -> Result<(Vec<Bucket>, u64)> {
     let t0 = std::time::Instant::now();
     let (DsState::MapOut { tasks, .. } | DsState::ReduceMapOut { tasks, .. }) =
         &st.datasets[input.0 as usize]
@@ -327,30 +307,16 @@ fn gather_partition(st: &mut State, input: DataId, index: usize) -> Result<(Redu
         return Err(Error::Invalid("reduce input is not a map-like output".into()));
     };
     let handovers = tasks.len() as u64;
-    match merge {
-        MergeMode::Merge => {
-            let mut runs = Vec::with_capacity(tasks.len());
-            for task in tasks {
-                let buckets =
-                    task.as_ref().ok_or_else(|| Error::Invalid("map task not done".into()))?;
-                runs.push(buckets[index].clone());
-            }
-            // In-process runs come straight off the map kernels, which
-            // guarantee sorted output — every run counts as presorted.
-            let records = runs.iter().map(Bucket::len).sum();
-            st.metrics.record_merge_input(runs.len(), runs.len(), records, t0.elapsed());
-            Ok((ReduceInput::Runs(runs), handovers))
-        }
-        MergeMode::Sort => {
-            let mut bucket = Bucket::new();
-            for task in tasks {
-                let buckets =
-                    task.as_ref().ok_or_else(|| Error::Invalid("map task not done".into()))?;
-                bucket.extend_from(&buckets[index]);
-            }
-            Ok((ReduceInput::Concat(bucket), handovers))
-        }
+    let mut runs = Vec::with_capacity(tasks.len());
+    for task in tasks {
+        let buckets = task.as_ref().ok_or_else(|| Error::Invalid("map task not done".into()))?;
+        runs.push(buckets[index].clone());
     }
+    // In-process runs come straight off the map kernels, which guarantee
+    // sorted output — every run counts as presorted.
+    let records = runs.iter().map(Bucket::len).sum();
+    st.metrics.record_merge_input(runs.len(), runs.len(), records, t0.elapsed());
+    Ok((runs, handovers))
 }
 
 enum TaskWork {
@@ -361,11 +327,11 @@ enum TaskWork {
         combine: bool,
     },
     Reduce {
-        input: ReduceInput,
+        runs: Vec<Bucket>,
         func: FuncId,
     },
     ReduceMap {
-        input: ReduceInput,
+        runs: Vec<Bucket>,
         reduce_func: FuncId,
         map_func: FuncId,
         parts: usize,
@@ -468,17 +434,10 @@ fn execute(shared: &Shared, t: TaskRef, work: TaskWork, th: &TraceHandle, tag: T
             }
             Ok(())
         }
-        TaskWork::Reduce { input, func } => {
+        TaskWork::Reduce { runs, func } => {
             let t0 = std::time::Instant::now();
             th.begin(Name::Exec, tag);
-            let out = match input {
-                ReduceInput::Runs(runs) => {
-                    run_reduce_task_merge(shared.program.as_ref(), func, &runs)
-                }
-                ReduceInput::Concat(bucket) => {
-                    run_reduce_task(shared.program.as_ref(), func, bucket)
-                }
-            };
+            let out = run_reduce_task_merge(shared.program.as_ref(), func, &runs);
             th.end(Name::Exec, tag);
             let out = out?;
             if let Some(store) = &shared.spill {
@@ -504,27 +463,18 @@ fn execute(shared: &Shared, t: TaskRef, work: TaskWork, th: &TraceHandle, tag: T
             }
             Ok(())
         }
-        TaskWork::ReduceMap { input, reduce_func, map_func, parts, combine } => {
+        TaskWork::ReduceMap { runs, reduce_func, map_func, parts, combine } => {
             let t0 = std::time::Instant::now();
             th.begin(Name::Exec, tag);
-            let out = match input {
-                ReduceInput::Runs(runs) => run_reduce_map_task_merge(
-                    shared.program.as_ref(),
-                    reduce_func,
-                    map_func,
-                    &runs,
-                    parts,
-                    combine,
-                ),
-                ReduceInput::Concat(bucket) => run_reduce_map_task(
-                    shared.program.as_ref(),
-                    reduce_func,
-                    map_func,
-                    bucket,
-                    parts,
-                    combine,
-                ),
-            };
+            let out = run_reduce_map_task_merge(
+                shared.program.as_ref(),
+                reduce_func,
+                map_func,
+                &runs,
+                parts,
+                combine,
+                None,
+            );
             th.end(Name::Exec, tag);
             let out = out?;
             let bytes: usize = out.iter().map(Bucket::byte_size).sum();
@@ -1025,7 +975,7 @@ mod tests {
         job.fetch_all(last).unwrap()
     }
 
-    fn rotate_fused(rt: &mut LocalRuntime, iters: usize, parts: usize) -> Vec<Record> {
+    fn rotate_fused(rt: &mut dyn JobApi, iters: usize, parts: usize) -> Vec<Record> {
         let mut job = Job::new(rt);
         let src = job.local_data(rotate_input(), 3).unwrap();
         let mut m = job.map_data(src, 0, parts, true).unwrap();
@@ -1122,40 +1072,27 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_sort_modes_agree_across_planes() {
+    fn merge_reduce_matches_serial_across_planes() {
         let data = input(&["the quick brown fox", "jumps over the lazy dog", "the end the"]);
-        let run = |mut rt: LocalRuntime, mode: MergeMode| {
-            rt.set_merge_mode(mode);
-            let out = {
-                let mut job = Job::new(&mut rt);
-                job.map_reduce(data.clone(), 3, 4, false).unwrap()
-            };
-            (out, rt.metrics())
-        };
-        let (merged, mm) =
-            run(LocalRuntime::pool(Arc::new(Simple(WordCount)), 4), MergeMode::Merge);
-        let (sorted, sm) = run(LocalRuntime::pool(Arc::new(Simple(WordCount)), 4), MergeMode::Sort);
-        assert_eq!(merged, sorted, "merge mode diverged from the sort oracle");
+        let run = |rt: &mut dyn JobApi| Job::new(rt).map_reduce(data.clone(), 3, 4, false).unwrap();
+        let oracle = run(&mut crate::SerialRuntime::new(Arc::new(Simple(WordCount))));
+        let mut pool = LocalRuntime::pool(Arc::new(Simple(WordCount)), 4);
+        assert_eq!(run(&mut pool), oracle, "pool merge reduce diverged from serial");
         // 4 partitions × 3 map tasks, every run sorted at the producer.
-        assert_eq!(mm.merge_runs(), 12);
-        assert_eq!(mm.presorted_runs(), 12);
-        assert!(mm.peak_reduce_records() > 0);
-        assert_eq!(sm.merge_runs(), 0);
-        let (mock, _) = run(
-            LocalRuntime::mock_parallel(Arc::new(Simple(WordCount)), Arc::new(MemFs::new())),
-            MergeMode::Merge,
-        );
-        assert_eq!(mock, merged);
+        let m = pool.metrics();
+        assert_eq!(m.merge_runs(), 12);
+        assert_eq!(m.presorted_runs(), 12);
+        assert!(m.peak_reduce_records() > 0);
+        let mut mock =
+            LocalRuntime::mock_parallel(Arc::new(Simple(WordCount)), Arc::new(MemFs::new()));
+        assert_eq!(run(&mut mock), oracle, "mock-parallel merge reduce diverged from serial");
     }
 
     #[test]
-    fn reducemap_merge_mode_matches_sort_mode() {
-        let run = |mode: MergeMode| {
-            let mut rt = LocalRuntime::pool(Arc::new(Simple(Rotate)), 3);
-            rt.set_merge_mode(mode);
-            rotate_fused(&mut rt, 4, 3)
-        };
-        assert_eq!(run(MergeMode::Merge), run(MergeMode::Sort));
+    fn reducemap_matches_serial() {
+        let oracle = rotate_fused(&mut crate::SerialRuntime::new(Arc::new(Simple(Rotate))), 4, 3);
+        let mut pool = LocalRuntime::pool(Arc::new(Simple(Rotate)), 3);
+        assert_eq!(rotate_fused(&mut pool, 4, 3), oracle);
     }
 
     #[test]

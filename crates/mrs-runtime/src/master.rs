@@ -31,17 +31,17 @@ use crate::dataplane;
 use crate::job::JobApi;
 use crate::metrics::JobMetrics;
 use crate::proto::{
-    fetch_records, Assignment, CancelOrder, ControlMode, DataPlane, Dispatch, EagerFragment,
-    SpeculateMode, TaskKind, TaskMsg, TaskReport, TraceBatch,
+    fetch_records, Assignment, CancelOrder, DataPlane, Dispatch, EagerFragment, SpeculateMode,
+    TaskKind, TaskMsg, TaskReport, TraceBatch,
 };
 use mrs_codec::CompressMode;
-use mrs_core::{Error, FuncId, MergeMode, Record, Result};
+use mrs_core::{Error, FuncId, Record, Result};
 use mrs_fs::format::write_bucket_bytes;
 use mrs_fs::Store;
 use mrs_rpc::{DataServer, FrameCache, Pages, Response};
 use mrs_trace::{ClockSync, GlobalEvent, JobTrace, Recorder, TraceHandle, MASTER_PID};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -58,8 +58,6 @@ pub struct MasterConfig {
     pub max_attempts: u32,
     /// Prefer the slave that ran the corresponding task last time.
     pub use_affinity: bool,
-    /// How slaves discover state changes (long-poll vs legacy polling).
-    pub control: ControlMode,
     /// Upper bound on how long a `get_tasks` request may park server-side
     /// before returning `Wait`. Also clamped to `slave_timeout / 2` so a
     /// parked slave still heartbeats; must stay well below the RPC
@@ -84,11 +82,6 @@ pub struct MasterConfig {
     /// median completed-task runtime gets a backup attempt on a different
     /// slave; first completion wins and the loser is cancelled.
     pub speculate: SpeculateMode,
-    /// How reduce-like tasks assemble their input (`--mrs-merge`):
-    /// streaming k-way merge over sorted runs (default) or the legacy
-    /// concatenate-and-sort oracle. [`crate::LocalCluster`] propagates
-    /// the setting to its slaves.
-    pub merge: MergeMode,
     /// Record task-attempt trace events (on by default — the recorder is
     /// bounded and lock-cheap, and `--mrs-no-trace` exists to prove it).
     /// Export is separately opt-in via [`Master::take_trace`] /
@@ -103,13 +96,11 @@ impl Default for MasterConfig {
             slave_timeout: Duration::from_secs(2),
             max_attempts: 4,
             use_affinity: true,
-            control: ControlMode::default(),
             long_poll_timeout: Duration::from_secs(1),
             compress: CompressMode::default(),
             keep_data: false,
             eager_shuffle: true,
             speculate: SpeculateMode::default(),
-            merge: MergeMode::default(),
             trace: true,
         }
     }
@@ -224,6 +215,12 @@ struct SlaveInfo {
 
 struct MState {
     datasets: Vec<MDs>,
+    /// Ops with at least one unfinished task (`done_count < tasks.len()`),
+    /// in submission order. Dispatch, speculation and eager publication
+    /// scan only these, so a long-lived master's per-poll cost follows
+    /// the work in flight, not every dataset it ever created. Updated
+    /// wherever `done_count` changes.
+    active: BTreeSet<u32>,
     /// Remaining registered consumers per dataset (index-aligned with
     /// `datasets`): incremented when an op is queued over the dataset,
     /// decremented when that op completes. Lifetime GC frees a dataset
@@ -290,7 +287,7 @@ struct MasterShared {
     state: Mutex<MState>,
     /// Completion condvar: driver `wait`/`fetch_all` and the sweeper.
     cv: Condvar,
-    /// Dispatch condvar: parked `get_tasks` requests (long-poll mode).
+    /// Dispatch condvar: parked `get_tasks` requests (long-poll).
     dispatch_cv: Condvar,
     plane: DataPlane,
     /// Master-local frame cache for source splits (direct plane): each
@@ -321,6 +318,7 @@ impl Master {
                 cfg,
                 state: Mutex::new(MState {
                     datasets: Vec::new(),
+                    active: BTreeSet::new(),
                     consumers: Vec::new(),
                     pins: HashSet::new(),
                     pending_purge: Vec::new(),
@@ -593,15 +591,10 @@ impl Master {
             Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
             self.shared.cv.notify_all();
         }
-        // Parking is long-poll behaviour; legacy pollers get `Wait` at once.
         // The clamp to `slave_timeout / 2` keeps a parked slave heartbeating
         // at least twice per death timeout.
-        let park = match self.shared.cfg.control {
-            ControlMode::LongPoll => {
-                park.min(self.shared.cfg.long_poll_timeout).min(self.shared.cfg.slave_timeout / 2)
-            }
-            ControlMode::Poll => Duration::ZERO,
-        };
+        let park =
+            park.min(self.shared.cfg.long_poll_timeout).min(self.shared.cfg.slave_timeout / 2);
         let deadline = Instant::now() + park;
         let mut parked = false;
         loop {
@@ -673,8 +666,8 @@ impl Master {
         // therefore never leave the accounting stale. Every racing attempt
         // occupies a slot on its slave, so attempts are counted, not slots.
         let mut in_flight = vec![0usize; st.slaves.len()];
-        for ds in &st.datasets {
-            let MDs::Op { tasks, .. } = ds else { continue };
+        for &d in &st.active {
+            let MDs::Op { tasks, .. } = &st.datasets[d as usize] else { continue };
             for slot in tasks {
                 if let SlotState::Running(attempts) = &slot.state {
                     for a in attempts {
@@ -775,14 +768,14 @@ impl Master {
     ) -> Option<(DataId, usize, bool)> {
         // Collect dispatchable tasks: Pending with satisfied inputs.
         let mut candidates: Vec<(DataId, usize)> = Vec::new();
-        for (d, ds) in st.datasets.iter().enumerate() {
-            let MDs::Op { input, kind, tasks, .. } = ds else { continue };
+        for &d in &st.active {
+            let MDs::Op { input, kind, tasks, .. } = &st.datasets[d as usize] else { continue };
             for (i, slot) in tasks.iter().enumerate() {
                 if slot.state != SlotState::Pending {
                     continue;
                 }
                 if Self::input_ready(st, *input, *kind, i) {
-                    candidates.push((DataId(d as u32), i));
+                    candidates.push((DataId(d), i));
                 }
             }
         }
@@ -894,8 +887,11 @@ impl Master {
             return Vec::new();
         };
         let mut out = Vec::new();
-        for (d, ds) in st.datasets.iter().enumerate() {
-            let MDs::Op { input, kind, tasks, done_count, runtimes, .. } = ds else { continue };
+        for &d in &st.active {
+            let MDs::Op { input, kind, tasks, done_count, runtimes, .. } = &st.datasets[d as usize]
+            else {
+                continue;
+            };
             if *done_count == 0 || *done_count * 4 < tasks.len() * 3 {
                 continue;
             }
@@ -910,7 +906,7 @@ impl Master {
                 if !Self::input_ready(st, *input, *kind, i) {
                     continue;
                 }
-                out.push((DataId(d as u32), i, *a, a.started + cutoff));
+                out.push((DataId(d), i, *a, a.started + cutoff));
             }
         }
         out
@@ -958,8 +954,7 @@ impl Master {
 
     /// A slave reports a completed task. `urls` are the output bucket URLs
     /// (one per partition for map tasks, exactly one for reduce tasks).
-    /// `attempt` echoes the id carried by the task message (0 from legacy
-    /// slaves that do not echo one).
+    /// `attempt` echoes the id carried by the task message.
     pub fn task_done(
         &self,
         slave: SlaveId,
@@ -997,9 +992,6 @@ impl Master {
         // elapsed). The winner itself: (speculative, elapsed).
         let mut losers: Vec<(SlaveId, u32, bool, Duration)> = Vec::new();
         let mut winner: Option<(bool, Duration)> = None;
-        // The attempt id that actually committed (resolved below when a
-        // legacy report arrives with attempt 0); tags the Report instant.
-        let mut committed = attempt;
         if let Some(MDs::Op { tasks, done_count, func, kind, input, runtimes, .. }) =
             st.datasets.get_mut(data as usize)
         {
@@ -1007,19 +999,15 @@ impl Master {
             match &slot.state {
                 SlotState::Done { .. } => return, // duplicate report: ignore
                 SlotState::Running(attempts) => {
-                    // The commit point. The report must name a live attempt
-                    // — matched by (slave, id), or by slave alone for a
-                    // legacy report (attempt 0). A report from a superseded
+                    // The commit point. The report must name a live attempt,
+                    // matched by (slave, id). A report from a superseded
                     // attempt (cancelled, swept, or beaten to this very
                     // point) is stale: its URLs are never published and its
                     // completion is never counted.
-                    let won = attempts
-                        .iter()
-                        .position(|a| a.slave == slave && (attempt == 0 || a.id == attempt));
+                    let won = attempts.iter().position(|a| a.slave == slave && a.id == attempt);
                     let Some(won) = won else { return };
                     let now = Instant::now();
                     let w = attempts[won];
-                    committed = w.id;
                     winner = Some((w.speculative, now - w.started));
                     runtimes.push((now - w.started).as_micros() as u64);
                     for (p, a) in attempts.iter().enumerate() {
@@ -1039,6 +1027,7 @@ impl Master {
             record_affinity = Some((*kind, *func));
             if *done_count == tasks.len() {
                 op_complete = Some(*input);
+                st.active.remove(&data);
             }
         }
         // Losers get cancellation orders piggybacked on their slave's next
@@ -1067,7 +1056,7 @@ impl Master {
             self.trace_instant(
                 slave,
                 mrs_trace::Name::Report,
-                mrs_trace::Tag::task(trace_op(kind), data, index, committed),
+                mrs_trace::Tag::task(trace_op(kind), data, index, attempt),
             );
             st.metrics.record_task();
             if kind == TaskKind::ReduceMap {
@@ -1108,14 +1097,12 @@ impl Master {
         }
         // Reduce-like consumers of this dataset that still have work left.
         let consumers: Vec<(TaskKind, FuncId)> = st
-            .datasets
+            .active
             .iter()
-            .filter_map(|ds| match ds {
+            .filter_map(|&d| match &st.datasets[d as usize] {
                 // Reduce-like on the *input* side: plain reduces and fused
                 // ReduceMaps both gather partitions of a map-like output.
-                MDs::Op { input, kind, func, tasks, done_count, .. }
-                    if input.0 == data && *kind != TaskKind::Map && *done_count < tasks.len() =>
-                {
+                MDs::Op { input, kind, func, .. } if input.0 == data && *kind != TaskKind::Map => {
                     Some((*kind, *func))
                 }
                 _ => None,
@@ -1221,17 +1208,17 @@ impl Master {
         if st.error.is_some() {
             return;
         }
-        for d in 0..st.datasets.len() {
-            let MDs::Op { input, ref tasks, .. } = st.datasets[d] else { continue };
+        let reclaimed = st.active.iter().find_map(|&d| {
+            let MDs::Op { input, tasks, .. } = &st.datasets[d as usize] else { return None };
             let any_pending = tasks.iter().any(|t| t.state == SlotState::Pending);
-            if any_pending && matches!(st.datasets[input.0 as usize], MDs::Discarded) {
-                st.error = Some(format!(
-                    "task input (dataset {}) was reclaimed by lifetime GC before re-execution; \
-                     re-run with --mrs-keep-data",
-                    input.0
-                ));
-                return;
-            }
+            (any_pending && matches!(st.datasets[input.0 as usize], MDs::Discarded))
+                .then_some(input.0)
+        });
+        if let Some(input) = reclaimed {
+            st.error = Some(format!(
+                "task input (dataset {input}) was reclaimed by lifetime GC before re-execution; \
+                 re-run with --mrs-keep-data"
+            ));
         }
     }
 
@@ -1294,13 +1281,14 @@ impl Master {
         let mut fail_job = None;
         let mut found = false;
         let mut speculative_lost = false;
-        if let Some(MDs::Op { tasks, .. }) = st.datasets.get_mut(data as usize) {
-            let slot = &mut tasks[index];
+        let slot = match st.datasets.get_mut(data as usize) {
+            Some(MDs::Op { tasks, .. }) => tasks.get_mut(index),
+            _ => None,
+        };
+        if let Some(slot) = slot {
             let mut emptied = false;
             if let SlotState::Running(attempts) = &mut slot.state {
-                let pos = attempts
-                    .iter()
-                    .position(|a| a.slave == slave && (attempt == 0 || a.id == attempt));
+                let pos = attempts.iter().position(|a| a.slave == slave && a.id == attempt);
                 if let Some(pos) = pos {
                     found = true;
                     let removed = attempts.remove(pos);
@@ -1337,18 +1325,21 @@ impl Master {
         }
         // Re-execute the task that produced the unfetchable URL.
         if let Some(url) = failed_input {
-            'outer: for ds in &mut st.datasets {
+            let mut reopened = None;
+            'outer: for (d, ds) in st.datasets.iter_mut().enumerate() {
                 let MDs::Op { tasks, done_count, .. } = ds else { continue };
                 for slot in tasks.iter_mut() {
                     if let SlotState::Done { urls, .. } = &slot.state {
                         if urls.iter().any(|u| u == url) {
                             slot.state = SlotState::Pending;
                             *done_count -= 1;
+                            reopened = Some(d as u32);
                             break 'outer;
                         }
                     }
                 }
             }
+            st.active.extend(reopened);
         }
         st.metrics.record_retry();
         if let Some(e) = fail_job {
@@ -1380,7 +1371,8 @@ impl Master {
         }
         let mut requeued = 0u32;
         let mut speculative_lost = 0u32;
-        for ds in &mut st.datasets {
+        let mut reopened = Vec::new();
+        for (d, ds) in st.datasets.iter_mut().enumerate() {
             let MDs::Op { tasks, done_count, .. } = ds else { continue };
             for slot in tasks.iter_mut() {
                 match &mut slot.state {
@@ -1404,12 +1396,14 @@ impl Master {
                     SlotState::Done { owner: Some(s), .. } if direct && newly_dead.contains(s) => {
                         slot.state = SlotState::Pending;
                         *done_count -= 1;
+                        reopened.push(d as u32);
                         requeued += 1;
                     }
                     _ => {}
                 }
             }
         }
+        st.active.extend(reopened);
         for _ in 0..requeued {
             st.metrics.record_retry();
         }
@@ -1418,8 +1412,7 @@ impl Master {
         }
         // If nobody is left to run re-queued work, fail rather than hang.
         let any_alive = st.slaves.iter().any(|s| s.alive);
-        let any_incomplete = st.datasets.iter().any(|d| !d.complete());
-        if !any_alive && any_incomplete {
+        if !any_alive && !st.active.is_empty() {
             st.error = Some("no live slaves remain".into());
         }
         Self::check_freed_inputs(&mut st);
@@ -1555,6 +1548,9 @@ impl JobApi for Master {
         });
         st.consumers.push(0);
         let id = DataId(st.datasets.len() as u32 - 1);
+        if !st.datasets[id.0 as usize].complete() {
+            st.active.insert(id.0);
+        }
         Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
         drop(st);
         self.shared.cv.notify_all();
@@ -1582,6 +1578,9 @@ impl JobApi for Master {
         });
         st.consumers.push(0);
         let id = DataId(st.datasets.len() as u32 - 1);
+        if !st.datasets[id.0 as usize].complete() {
+            st.active.insert(id.0);
+        }
         // Maps that finished before this consumer existed are publishable
         // right now (iterative drivers submit the reduce late).
         self.publish_eager_locked(&mut st, input.0, None);
@@ -1625,6 +1624,9 @@ impl JobApi for Master {
         });
         st.consumers.push(0);
         let id = DataId(st.datasets.len() as u32 - 1);
+        if !st.datasets[id.0 as usize].complete() {
+            st.active.insert(id.0);
+        }
         self.publish_eager_locked(&mut st, input.0, None);
         Self::wake_dispatch(&mut st, &self.shared.dispatch_cv);
         drop(st);
@@ -2181,18 +2183,6 @@ mod tests {
     }
 
     #[test]
-    fn poll_mode_never_parks() {
-        let cfg = MasterConfig { control: ControlMode::Poll, ..MasterConfig::default() };
-        let store: Arc<dyn Store> = Arc::new(MemFs::new());
-        let m = Master::new(cfg, DataPlane::SharedFs(store)).unwrap();
-        let s = m.signin("a:1", 1);
-        let start = Instant::now();
-        assert_eq!(m.get_tasks_with(s, 1, Duration::from_millis(500), &[]), Assignment::Wait);
-        assert!(start.elapsed() < Duration::from_millis(100), "poll mode must not hold requests");
-        assert_eq!(m.metrics().longpoll_parks(), 0);
-    }
-
-    #[test]
     fn sweeper_loop_requeues_dead_slave_work_and_stops_on_finish() {
         let cfg =
             MasterConfig { slave_timeout: Duration::from_millis(30), ..MasterConfig::default() };
@@ -2648,7 +2638,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_report_without_attempt_id_is_accepted() {
+    fn report_with_attempt_zero_is_rejected() {
         let (mut m, store) = shared_master();
         let s = m.signin("a:1", 1);
         let src = m.local_data(records(4), 1).unwrap();
@@ -2661,11 +2651,55 @@ mod tests {
                 format!("file://{path}")
             })
             .collect();
-        // Attempt 0 is the legacy wire value (decoder default for old
-        // slaves): matched by slave identity alone.
-        m.task_done(s, t.data, t.index, 0, urls);
+        // Attempt ids start at 1, so 0 names no attempt: neither a
+        // completion nor a failure may match the running attempt by slave
+        // identity alone.
+        m.task_done(s, t.data, t.index, 0, urls.clone());
+        m.task_failed(s, t.data, t.index, 0, "boom", None);
+        assert_eq!(m.metrics().tasks_executed(), 0);
+        assert_eq!(m.metrics().tasks_retried(), 0);
+        m.task_done(s, t.data, t.index, t.attempt, urls);
         m.wait(mapped).unwrap();
         assert_eq!(m.metrics().tasks_executed(), 1);
+    }
+
+    /// The dispatch scan set is exactly the ops with unfinished tasks.
+    fn assert_active_index_exact(m: &Master) {
+        let st = m.shared.state.lock();
+        let incomplete: BTreeSet<u32> = (0..st.datasets.len() as u32)
+            .filter(|&d| !st.datasets[d as usize].complete())
+            .collect();
+        assert_eq!(st.active, incomplete);
+    }
+
+    /// A long-lived master accumulates datasets, but each dispatch scans
+    /// only the ops still in flight — not every dataset ever created.
+    #[test]
+    fn dispatch_scan_set_stays_bounded_over_many_jobs() {
+        let (mut m, store) = shared_master();
+        let s = m.signin("a:1", 2);
+        let mut peak_scanned = 0;
+        for round in 0..120 {
+            let src = m.local_data(records(4), 2).unwrap();
+            let mapped = m.map_data(src, 0, 2, false).unwrap();
+            let reduced = m.reduce_data(mapped, 0).unwrap();
+            loop {
+                // What this poll's dispatch will scan.
+                peak_scanned = peak_scanned.max(m.shared.state.lock().active.len());
+                let Assignment::Tasks(ts) = m.get_tasks(s, 2) else { break };
+                for t in &ts {
+                    finish_task(&m, &store, s, t);
+                }
+                assert_active_index_exact(&m);
+            }
+            m.wait(reduced).unwrap();
+            m.discard(reduced);
+            m.discard(src);
+            assert_active_index_exact(&m);
+            assert!(m.shared.state.lock().active.is_empty(), "round {round} left work behind");
+        }
+        assert!(m.shared.state.lock().datasets.len() >= 360, "history keeps growing");
+        assert!(peak_scanned <= 2, "dispatch scanned {peak_scanned} ops");
     }
 
     #[test]

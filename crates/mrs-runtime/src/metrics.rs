@@ -403,7 +403,7 @@ impl JobMetrics {
         Duration::from_micros(self.straggler_micros_saved)
     }
 
-    /// Record one merge-mode reduce input assembled in-process (the local
+    /// Record one merge reduce input assembled in-process (the local
     /// runtimes' twin of [`crate::dataplane::record_merge_input`]): `runs`
     /// input runs, of which `presorted` arrived already sorted, `records`
     /// total records, assembled in `assembly` wall time.
@@ -420,7 +420,7 @@ impl JobMetrics {
         self.peak_reduce_records = self.peak_reduce_records.max(records as u64);
     }
 
-    /// Input runs consumed by merge-mode reduce-like tasks.
+    /// Input runs consumed by merge reduce-like tasks.
     pub fn merge_runs(&self) -> u64 {
         self.merge_runs
     }

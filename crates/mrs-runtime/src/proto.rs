@@ -15,33 +15,21 @@ use mrs_rpc::FrameCache;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// How the control channel discovers state changes.
-///
-/// The event-driven mode is the default: a `get_task` with nothing
-/// runnable parks server-side on a condvar until a state transition makes
-/// work available (or a deadline expires), and completion reports ride on
-/// the next `get_task` instead of costing their own RPC. The legacy
-/// `Poll` mode — fixed-interval sleeps between polls, standalone
-/// `task_done` calls — is kept behind `--mrs-control=poll` so the
-/// `control_latency` bench can measure the delta honestly.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ControlMode {
-    /// Sleep-and-poll: `Wait` answers return immediately and the slave
-    /// backs off between polls; completions are standalone RPCs.
-    Poll,
-    /// Event-driven: long-poll dispatch plus piggybacked completions.
-    #[default]
-    LongPoll,
+/// Decode a wire integer into `T`, rejecting a missing or non-int value
+/// and any value `T` cannot hold — a negative or oversized int is a
+/// protocol error, never silently truncated. `what` names the field in
+/// the error.
+pub(crate) fn wire_int<T: TryFrom<i64>>(v: Option<&Value>, what: &str) -> Result<T> {
+    let i = v.and_then(Value::as_int).ok_or_else(|| Error::Rpc(format!("missing {what}")))?;
+    T::try_from(i).map_err(|_| Error::Rpc(format!("{what} {i} out of range")))
 }
 
-impl ControlMode {
-    /// Parse a `--mrs-control` value.
-    pub fn parse(s: &str) -> Result<ControlMode> {
-        match s {
-            "poll" => Ok(ControlMode::Poll),
-            "longpoll" | "event" => Ok(ControlMode::LongPoll),
-            other => Err(Error::Invalid(format!("unknown control mode {other:?} (poll|longpoll)"))),
-        }
+/// Decode a wire attempt id: attempt ids start at 1, so 0 (or a missing
+/// key) names no attempt and is rejected.
+pub(crate) fn wire_attempt(v: Option<&Value>, what: &str) -> Result<u32> {
+    match wire_int(v, what)? {
+        0 => Err(Error::Rpc(format!("{what} must be >= 1"))),
+        a => Ok(a),
     }
 }
 
@@ -99,8 +87,7 @@ pub struct TaskReport {
     pub data: u32,
     /// Task index within the dataset.
     pub index: usize,
-    /// The attempt id this report is for (0 from legacy slaves that echo
-    /// no attempt; the master then accepts the report unconditionally).
+    /// The attempt id this report is for (≥ 1).
     pub attempt: u32,
     /// Output bucket URLs (one per partition for map, one for reduce).
     pub urls: Vec<String>,
@@ -120,14 +107,8 @@ impl TaskReport {
         Value::Struct(m)
     }
 
-    /// Decode from the RPC request. A missing `attempt` key (legacy slave)
-    /// decodes as 0, which the master treats as "no attempt tracking".
+    /// Decode from the RPC request; every key is required.
     pub fn from_value(v: &Value) -> Result<TaskReport> {
-        let int = |name: &str| -> Result<i64> {
-            v.field(name)
-                .and_then(Value::as_int)
-                .ok_or_else(|| Error::Rpc(format!("report missing {name}")))
-        };
         let urls = v
             .field("urls")
             .and_then(Value::as_array)
@@ -139,13 +120,12 @@ impl TaskReport {
                     .ok_or_else(|| Error::Rpc("non-string report url".into()))
             })
             .collect::<Result<Vec<_>>>()?;
-        let attempt = match v.field("attempt") {
-            Some(a) => {
-                a.as_int().ok_or_else(|| Error::Rpc("non-int report attempt".into()))? as u32
-            }
-            None => 0,
-        };
-        Ok(TaskReport { data: int("data")? as u32, index: int("index")? as usize, attempt, urls })
+        Ok(TaskReport {
+            data: wire_int(v.field("data"), "report data")?,
+            index: wire_int(v.field("index"), "report index")?,
+            attempt: wire_attempt(v.field("attempt"), "report attempt")?,
+            urls,
+        })
     }
 }
 
@@ -215,24 +195,19 @@ pub struct TaskMsg {
     pub combine: bool,
     /// Attempt id (1-based, unique per task slot): echoed back in the
     /// completion report so the master can reject reports from attempts
-    /// that have since been cancelled or superseded. 0 from legacy masters
-    /// that never wrote the key.
+    /// that have since been cancelled or superseded.
     pub attempt: u32,
     /// Input bucket URLs.
     pub inputs: Vec<String>,
 }
 
 impl TaskMsg {
-    /// Encode for the RPC response. Alongside the `kind` discriminator the
-    /// legacy `is_map` boolean is still written (fused tasks gather like a
-    /// reduce, so they encode as `false`) — struct decoders ignore unknown
-    /// keys, so old peers keep working for the kinds they know.
+    /// Encode for the RPC response.
     pub fn to_value(&self) -> Value {
         let mut m = BTreeMap::new();
         m.insert("data".to_owned(), Value::Int(self.data as i64));
         m.insert("index".to_owned(), Value::Int(self.index as i64));
         m.insert("kind".to_owned(), Value::Str(self.kind.as_str().into()));
-        m.insert("is_map".to_owned(), Value::Bool(self.kind == TaskKind::Map));
         m.insert("func".to_owned(), Value::Int(self.func as i64));
         m.insert("map_func".to_owned(), Value::Int(self.map_func as i64));
         m.insert("parts".to_owned(), Value::Int(self.parts as i64));
@@ -245,14 +220,8 @@ impl TaskMsg {
         Value::Struct(m)
     }
 
-    /// Decode from the RPC response. Prefers the `kind` discriminator and
-    /// falls back to the legacy `is_map` boolean from pre-fusion masters.
+    /// Decode from the RPC response; every key is required.
     pub fn from_value(v: &Value) -> Result<TaskMsg> {
-        let int = |name: &str| -> Result<i64> {
-            v.field(name)
-                .and_then(Value::as_int)
-                .ok_or_else(|| Error::Rpc(format!("assignment missing {name}")))
-        };
         let inputs = v
             .field("inputs")
             .and_then(Value::as_array)
@@ -269,33 +238,21 @@ impl TaskMsg {
             Some("reduce") => TaskKind::Reduce,
             Some("reducemap") => TaskKind::ReduceMap,
             Some(other) => return Err(Error::Rpc(format!("unknown task kind {other:?}"))),
-            None => match v.field("is_map") {
-                Some(Value::Bool(true)) => TaskKind::Map,
-                Some(Value::Bool(false)) => TaskKind::Reduce,
-                _ => return Err(Error::Rpc("assignment missing kind/is_map".into())),
-            },
+            None => return Err(Error::Rpc("assignment missing kind".into())),
         };
         let combine = match v.field("combine") {
             Some(Value::Bool(b)) => *b,
             _ => return Err(Error::Rpc("assignment missing combine".into())),
         };
-        let map_func = match v.field("map_func") {
-            Some(f) => f.as_int().ok_or_else(|| Error::Rpc("non-int map_func".into()))? as u32,
-            None => 0,
-        };
-        let attempt = match v.field("attempt") {
-            Some(a) => a.as_int().ok_or_else(|| Error::Rpc("non-int attempt".into()))? as u32,
-            None => 0,
-        };
         Ok(TaskMsg {
-            data: int("data")? as u32,
-            index: int("index")? as usize,
+            data: wire_int(v.field("data"), "task data")?,
+            index: wire_int(v.field("index"), "task index")?,
             kind,
-            func: int("func")? as u32,
-            map_func,
-            parts: int("parts")? as usize,
+            func: wire_int(v.field("func"), "task func")?,
+            map_func: wire_int(v.field("map_func"), "task map_func")?,
+            parts: wire_int(v.field("parts"), "task parts")?,
             combine,
-            attempt,
+            attempt: wire_attempt(v.field("attempt"), "task attempt")?,
             inputs,
         })
     }
@@ -378,17 +335,16 @@ impl EagerFragment {
 
     /// Decode from the RPC response.
     pub fn from_value(v: &Value) -> Result<EagerFragment> {
-        let int = |name: &str| -> Result<i64> {
-            v.field(name)
-                .and_then(Value::as_int)
-                .ok_or_else(|| Error::Rpc(format!("eager fragment missing {name}")))
-        };
         let url = v
             .field("url")
             .and_then(Value::as_str)
             .ok_or_else(|| Error::Rpc("eager fragment missing url".into()))?
             .to_owned();
-        Ok(EagerFragment { data: int("data")? as u32, partition: int("partition")? as usize, url })
+        Ok(EagerFragment {
+            data: wire_int(v.field("data"), "eager fragment data")?,
+            partition: wire_int(v.field("partition"), "eager fragment partition")?,
+            url,
+        })
     }
 }
 
@@ -397,9 +353,7 @@ impl EagerFragment {
 /// the first-completion race (or whose task became moot). The slave sets
 /// the attempt's cancellation flag — checked at kernel record/group
 /// boundaries — and silently discards the partial output, freeing the slot
-/// without reporting. Encoded as an extra struct key, so legacy slaves
-/// (which ignore unknown keys) simply let the doomed attempt run to
-/// completion; its stale report is then rejected by attempt id.
+/// without reporting.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CancelOrder {
     /// Output dataset id of the task.
@@ -422,15 +376,10 @@ impl CancelOrder {
 
     /// Decode from the RPC response.
     pub fn from_value(v: &Value) -> Result<CancelOrder> {
-        let int = |name: &str| -> Result<i64> {
-            v.field(name)
-                .and_then(Value::as_int)
-                .ok_or_else(|| Error::Rpc(format!("cancel order missing {name}")))
-        };
         Ok(CancelOrder {
-            data: int("data")? as u32,
-            index: int("index")? as usize,
-            attempt: int("attempt")? as u32,
+            data: wire_int(v.field("data"), "cancel order data")?,
+            index: wire_int(v.field("index"), "cancel order index")?,
+            attempt: wire_attempt(v.field("attempt"), "cancel order attempt")?,
         })
     }
 }
@@ -441,8 +390,8 @@ impl CancelOrder {
 /// `rtt_us` the slave-measured round trip of its *previous* poll (0 =
 /// not yet known); together they let the master fit a clock offset
 /// ([`mrs_trace::ClockSync`]) and map the events onto its own timeline.
-/// Encoded as an extra optional positional parameter, so legacy peers
-/// (which never send or read it) interoperate.
+/// Encoded as an optional trailing positional parameter: a slave with
+/// nothing to ship (tracing off, or idle) omits it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceBatch {
     /// Slave recorder clock (µs since its epoch) when the batch was sent.
@@ -494,11 +443,6 @@ impl TraceBatch {
     /// vocabulary) is skipped rather than failing the whole dispatch;
     /// only a structurally malformed batch is an error.
     pub fn from_value(v: &Value) -> Result<TraceBatch> {
-        let int = |name: &str| -> Result<i64> {
-            v.field(name)
-                .and_then(Value::as_int)
-                .ok_or_else(|| Error::Rpc(format!("trace batch missing {name}")))
-        };
         let raw = v
             .field("events")
             .and_then(Value::as_array)
@@ -510,34 +454,35 @@ impl TraceBatch {
             if fields.len() != 8 {
                 return Err(Error::Rpc(format!("trace event has {} fields", fields.len())));
             }
-            let mut ints = [0i64; 8];
-            for (slot, f) in ints.iter_mut().zip(fields) {
-                *slot = f.as_int().ok_or_else(|| Error::Rpc("non-int trace event field".into()))?;
-            }
+            let field = |i: usize| Some(&fields[i]);
+            // A code outside the known vocabulary is skipped, not fatal.
+            let code = |i: usize| -> Result<Option<u8>> {
+                Ok(u8::try_from(wire_int::<i64>(field(i), "trace event code")?).ok())
+            };
             let (Some(kind), Some(name), Some(op)) = (
-                mrs_trace::Kind::from_code(ints[1] as u8),
-                mrs_trace::Name::from_code(ints[2] as u8),
-                mrs_trace::Op::from_code(ints[4] as u8),
+                code(1)?.and_then(mrs_trace::Kind::from_code),
+                code(2)?.and_then(mrs_trace::Name::from_code),
+                code(4)?.and_then(mrs_trace::Op::from_code),
             ) else {
                 continue;
             };
             events.push(mrs_trace::Event {
-                at_us: ints[0] as u64,
+                at_us: wire_int(field(0), "trace event time")?,
                 kind,
                 name,
-                lane: ints[3] as u32,
+                lane: wire_int(field(3), "trace event lane")?,
                 tag: mrs_trace::Tag {
                     op,
-                    data: ints[5] as u32,
-                    index: ints[6] as u32,
-                    attempt: ints[7] as u32,
+                    data: wire_int(field(5), "trace event data")?,
+                    index: wire_int(field(6), "trace event index")?,
+                    attempt: wire_int(field(7), "trace event attempt")?,
                 },
             });
         }
         Ok(TraceBatch {
-            sent_at_us: int("sent_at")? as u64,
-            rtt_us: int("rtt")? as u64,
-            dropped: int("dropped")? as u64,
+            sent_at_us: wire_int(v.field("sent_at"), "trace batch sent_at")?,
+            rtt_us: wire_int(v.field("rtt"), "trace batch rtt")?,
+            dropped: wire_int(v.field("dropped"), "trace batch dropped")?,
             events,
         })
     }
@@ -549,9 +494,8 @@ impl TraceBatch {
 /// remaining consumers; the slave drops the matching frames (and eager
 /// fragments) from its caches. `eager` lists freshly completed map-output
 /// buckets this slave should pre-fetch before the barrier clears.
-/// `cancel` lists attempts this slave should abort cooperatively. All are
-/// encoded as extra keys on the assignment struct, so older slaves (which
-/// ignore unknown keys) interoperate.
+/// `cancel` lists attempts this slave should abort cooperatively. Each is
+/// an extra key on the assignment struct, omitted when empty.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Dispatch {
     /// What to run (or wait/exit).
@@ -592,8 +536,7 @@ impl Dispatch {
     }
 
     /// Decode from the RPC response. A missing `purge`, `eager`, or
-    /// `cancel` key (old master) means nothing to drop, pre-fetch, or
-    /// abort.
+    /// `cancel` key means nothing to drop, pre-fetch, or abort.
     pub fn from_value(v: &Value) -> Result<Dispatch> {
         let assignment = Assignment::from_value(v)?;
         let purge = match v.field("purge").and_then(Value::as_array) {
@@ -671,8 +614,8 @@ pub fn fetch_records_local_first(
 /// bucket.
 ///
 /// Every resolution path runs the wire bytes through the `MRSF1` frame
-/// decoder, which verifies the checksum and transparently accepts raw
-/// legacy payloads. A *remote* frame that fails its checksum is fetched
+/// decoder, which verifies the checksum and passes unframed payloads
+/// (buckets below the compression threshold are stored raw) through. A *remote* frame that fails its checksum is fetched
 /// once more from the peer (transient corruption) before the error
 /// surfaces; local and shared-store corruption is not retried — re-reading
 /// the same bytes cannot help.
@@ -762,61 +705,85 @@ mod tests {
         }
     }
 
-    #[test]
-    fn legacy_is_map_decodes_without_kind() {
-        let t = TaskMsg {
-            data: 1,
-            index: 0,
+    fn sample_task() -> TaskMsg {
+        TaskMsg {
+            data: 2,
+            index: 3,
             kind: TaskKind::Reduce,
             func: 0,
             map_func: 0,
             parts: 1,
             combine: false,
-            attempt: 0,
-            inputs: vec![],
-        };
-        // Strip the new keys the way a pre-fusion master would never have
-        // written them.
-        let Value::Struct(mut m) = t.to_value() else { panic!("struct") };
-        m.remove("kind");
-        m.remove("map_func");
-        m.remove("attempt");
-        let got = TaskMsg::from_value(&Value::Struct(m)).unwrap();
-        assert_eq!(got, t);
-    }
-
-    #[test]
-    fn attempt_id_roundtrips_and_defaults_to_zero() {
-        // New master → new slave: the attempt id survives the round trip.
-        let t = TaskMsg {
-            data: 2,
-            index: 3,
-            kind: TaskKind::Map,
-            func: 0,
-            map_func: 0,
-            parts: 2,
-            combine: false,
             attempt: 7,
             inputs: vec![],
+        }
+    }
+
+    /// Decode `value` with `key` set to `to` (or removed when `None`).
+    fn with_key(value: Value, key: &str, to: Option<Value>) -> Value {
+        let Value::Struct(mut m) = value else { panic!("struct") };
+        match to {
+            Some(v) => m.insert(key.to_owned(), v),
+            None => m.remove(key),
         };
-        assert_eq!(TaskMsg::from_value(&t.to_value()).unwrap().attempt, 7);
-        // Old master → new slave: a missing attempt key decodes as 0.
-        let Value::Struct(mut m) = t.to_value() else { panic!("struct") };
-        m.remove("attempt");
-        assert_eq!(TaskMsg::from_value(&Value::Struct(m)).unwrap().attempt, 0);
-        // Old slave → new master: an attempt-less report decodes as 0, the
-        // "accept unconditionally" sentinel.
-        let r = TaskReport { data: 2, index: 3, attempt: 5, urls: vec!["file://a".into()] };
-        assert_eq!(TaskReport::from_value(&r.to_value()).unwrap().attempt, 5);
-        let Value::Struct(mut m) = r.to_value() else { panic!("struct") };
-        m.remove("attempt");
-        let legacy = TaskReport::from_value(&Value::Struct(m)).unwrap();
-        assert_eq!(legacy.attempt, 0);
-        assert_eq!(legacy.urls, r.urls);
+        Value::Struct(m)
     }
 
     #[test]
-    fn cancel_order_roundtrips_and_legacy_decoder_ignores_it() {
+    fn task_msg_requires_kind_and_a_real_attempt() {
+        let t = sample_task();
+        assert_eq!(TaskMsg::from_value(&t.to_value()).unwrap(), t);
+        let Value::Struct(m) = t.to_value() else { panic!("struct") };
+        let keys: Vec<&str> = m.keys().map(String::as_str).collect();
+        let expect =
+            ["attempt", "combine", "data", "func", "index", "inputs", "kind", "map_func", "parts"];
+        assert_eq!(keys, expect, "one key per field, nothing else on the wire");
+        for key in ["kind", "attempt", "map_func", "parts", "data", "index", "func"] {
+            let v = with_key(t.to_value(), key, None);
+            assert!(TaskMsg::from_value(&v).is_err(), "missing {key} must be rejected");
+        }
+        let zero = with_key(t.to_value(), "attempt", Some(Value::Int(0)));
+        assert!(TaskMsg::from_value(&zero).is_err(), "attempt 0 names no attempt");
+    }
+
+    #[test]
+    fn task_report_requires_a_real_attempt() {
+        let r = TaskReport { data: 2, index: 3, attempt: 5, urls: vec!["file://a".into()] };
+        assert_eq!(TaskReport::from_value(&r.to_value()).unwrap().attempt, 5);
+        let missing = with_key(r.to_value(), "attempt", None);
+        assert!(TaskReport::from_value(&missing).is_err());
+        let zero = with_key(r.to_value(), "attempt", Some(Value::Int(0)));
+        assert!(TaskReport::from_value(&zero).is_err());
+    }
+
+    #[test]
+    fn out_of_range_wire_ints_are_rejected() {
+        let t = sample_task();
+        let r = TaskReport { data: 2, index: 3, attempt: 5, urls: vec![] };
+        for bad in [-1, i64::from(u32::MAX) + 1] {
+            for key in ["data", "attempt", "func"] {
+                let v = with_key(t.to_value(), key, Some(Value::Int(bad)));
+                assert!(TaskMsg::from_value(&v).is_err(), "task {key}={bad}");
+            }
+            for key in ["data", "attempt"] {
+                let v = with_key(r.to_value(), key, Some(Value::Int(bad)));
+                assert!(TaskReport::from_value(&v).is_err(), "report {key}={bad}");
+            }
+        }
+        for key in ["index", "parts"] {
+            let v = with_key(t.to_value(), key, Some(Value::Int(-1)));
+            assert!(TaskMsg::from_value(&v).is_err(), "task {key}=-1");
+        }
+        let c = CancelOrder { data: 1, index: 0, attempt: 1 }.to_value();
+        assert!(CancelOrder::from_value(&with_key(c, "index", Some(Value::Int(-3)))).is_err());
+        let f = EagerFragment { data: 1, partition: 0, url: "u".into() }.to_value();
+        assert!(EagerFragment::from_value(&with_key(f, "data", Some(Value::Int(-1)))).is_err());
+        let b = TraceBatch::default().to_value();
+        assert!(TraceBatch::from_value(&with_key(b, "rtt", Some(Value::Int(-1)))).is_err());
+    }
+
+    #[test]
+    fn cancel_order_roundtrips() {
         let c = CancelOrder { data: 4, index: 2, attempt: 3 };
         assert_eq!(CancelOrder::from_value(&c.to_value()).unwrap(), c);
         // Malformed orders are rejected, not mis-decoded.
@@ -832,12 +799,9 @@ mod tests {
             cancel: vec![c.clone(), CancelOrder { data: 4, index: 5, attempt: 1 }],
         };
         assert_eq!(Dispatch::from_value(&d.to_value()).unwrap(), d);
-        // ...and a legacy decoder (assignment-only view) still parses the
-        // same bytes: the cancel key rides along ignored.
-        assert_eq!(Assignment::from_value(&d.to_value()).unwrap(), Assignment::Wait);
-        // A new slave reading an old master's dispatch sees no cancels.
-        let old = Assignment::Wait.to_value();
-        assert!(Dispatch::from_value(&old).unwrap().cancel.is_empty());
+        // A dispatch without orders omits the key and decodes as none.
+        let bare = Assignment::Wait.to_value();
+        assert!(Dispatch::from_value(&bare).unwrap().cancel.is_empty());
     }
 
     #[test]
@@ -852,7 +816,7 @@ mod tests {
         assert_eq!(Dispatch::from_value(&d.to_value()).unwrap(), d);
         let bare = Dispatch { assignment: a.clone(), purge: vec![], eager: vec![], cancel: vec![] };
         assert_eq!(Dispatch::from_value(&bare.to_value()).unwrap(), bare);
-        // An old master's plain assignment decodes as an empty purge list.
+        // A plain assignment decodes as an empty purge list.
         assert_eq!(Dispatch::from_value(&a.to_value()).unwrap(), bare);
     }
 
@@ -914,7 +878,7 @@ mod tests {
             urls: vec!["http://h:1/data/a".into(), "file://b".into()],
         };
         assert_eq!(TaskReport::from_value(&r.to_value()).unwrap(), r);
-        let empty = TaskReport { data: 0, index: 0, attempt: 0, urls: vec![] };
+        let empty = TaskReport { data: 0, index: 0, attempt: 1, urls: vec![] };
         assert_eq!(TaskReport::from_value(&empty.to_value()).unwrap(), empty);
     }
 
@@ -983,15 +947,6 @@ mod tests {
         assert!(SpeculateMode::parse("threshold=nan").is_err());
         assert!(SpeculateMode::parse("maybe").is_err());
         assert_eq!(SpeculateMode::default(), SpeculateMode::On { threshold: 1.5 });
-    }
-
-    #[test]
-    fn control_mode_parses_and_rejects() {
-        assert_eq!(ControlMode::parse("poll").unwrap(), ControlMode::Poll);
-        assert_eq!(ControlMode::parse("longpoll").unwrap(), ControlMode::LongPoll);
-        assert_eq!(ControlMode::parse("event").unwrap(), ControlMode::LongPoll);
-        assert!(ControlMode::parse("telepathy").is_err());
-        assert_eq!(ControlMode::default(), ControlMode::LongPoll);
     }
 
     #[test]

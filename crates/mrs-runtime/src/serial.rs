@@ -8,10 +8,7 @@
 use crate::data::{gather, DataId, Dataset};
 use crate::job::JobApi;
 use crate::metrics::JobMetrics;
-use mrs_core::task::{
-    run_map_task, run_reduce_map_task, run_reduce_map_task_merge, run_reduce_task,
-    run_reduce_task_merge, MergeMode,
-};
+use mrs_core::task::{run_map_task, run_reduce_map_task_merge, run_reduce_task_merge};
 use mrs_core::{Bucket, Error, FuncId, Program, Record, Result};
 use mrs_trace::{JobTrace, Name, Op, Recorder, Tag, TraceHandle};
 use std::sync::Arc;
@@ -21,7 +18,6 @@ pub struct SerialRuntime {
     program: Arc<dyn Program>,
     datasets: Vec<SerialData>,
     metrics: JobMetrics,
-    merge: MergeMode,
     rec: Recorder,
     th: TraceHandle,
 }
@@ -37,30 +33,12 @@ enum SerialData {
     Discarded,
 }
 
-/// One partition's gathered reduce input, shaped by the [`MergeMode`].
-enum ReduceInput {
-    Runs(Vec<Bucket>),
-    Concat(Bucket),
-}
-
 impl SerialRuntime {
     /// A serial job for `program`.
     pub fn new(program: Arc<dyn Program>) -> Self {
         let rec = Recorder::new();
         let th = rec.handle(0);
-        SerialRuntime {
-            program,
-            datasets: Vec::new(),
-            metrics: JobMetrics::default(),
-            merge: MergeMode::default(),
-            rec,
-            th,
-        }
-    }
-
-    /// Choose how reduce-like tasks assemble their input (`--mrs-merge`).
-    pub fn set_merge_mode(&mut self, merge: MergeMode) {
-        self.merge = merge;
+        SerialRuntime { program, datasets: Vec::new(), metrics: JobMetrics::default(), rec, th }
     }
 
     /// Metrics collected so far.
@@ -76,28 +54,16 @@ impl SerialRuntime {
         JobTrace::from_local(events, dropped)
     }
 
-    /// Gather partition `p` of every task as the reduce input, in the
-    /// shape the configured [`MergeMode`] wants: either the per-task runs
-    /// kept separate for the k-way merge, or one concatenated bucket.
-    fn partition_input(&mut self, tasks: &[Vec<Bucket>], p: usize) -> ReduceInput {
-        match self.merge {
-            MergeMode::Merge => {
-                let t0 = std::time::Instant::now();
-                let runs: Vec<Bucket> = tasks.iter().map(|task| task[p].clone()).collect();
-                let records: usize = runs.iter().map(Bucket::len).sum();
-                // In-process runs come straight off the map kernels, which
-                // guarantee sorted output — every run counts as presorted.
-                self.metrics.record_merge_input(runs.len(), runs.len(), records, t0.elapsed());
-                ReduceInput::Runs(runs)
-            }
-            MergeMode::Sort => {
-                let mut bucket = Bucket::new();
-                for task in tasks {
-                    bucket.extend_from(&task[p]);
-                }
-                ReduceInput::Concat(bucket)
-            }
-        }
+    /// Gather partition `p` of every task as the reduce input: the
+    /// per-task runs, kept separate for the k-way merge.
+    fn partition_input(&mut self, tasks: &[Vec<Bucket>], p: usize) -> Vec<Bucket> {
+        let t0 = std::time::Instant::now();
+        let runs: Vec<Bucket> = tasks.iter().map(|task| task[p].clone()).collect();
+        let records: usize = runs.iter().map(Bucket::len).sum();
+        // In-process runs come straight off the map kernels, which
+        // guarantee sorted output — every run counts as presorted.
+        self.metrics.record_merge_input(runs.len(), runs.len(), records, t0.elapsed());
+        runs
     }
 
     fn get(&self, id: DataId) -> Result<&SerialData> {
@@ -162,15 +128,10 @@ impl JobApi for SerialRuntime {
             self.th.instant(Name::Dispatch, tag);
             self.th.begin(Name::Attempt, tag);
             self.th.begin(Name::Merge, tag);
-            let input = self.partition_input(&tasks, p);
+            let runs = self.partition_input(&tasks, p);
             self.th.end(Name::Merge, tag);
             self.th.begin(Name::Exec, tag);
-            let out = match input {
-                ReduceInput::Runs(runs) => {
-                    run_reduce_task_merge(self.program.as_ref(), func, &runs)
-                }
-                ReduceInput::Concat(bucket) => run_reduce_task(self.program.as_ref(), func, bucket),
-            };
+            let out = run_reduce_task_merge(self.program.as_ref(), func, &runs);
             self.th.end(Name::Exec, tag);
             self.th.end(Name::Attempt, tag);
             let out = out?;
@@ -202,27 +163,18 @@ impl JobApi for SerialRuntime {
             self.th.instant(Name::Dispatch, tag);
             self.th.begin(Name::Attempt, tag);
             self.th.begin(Name::Merge, tag);
-            let input = self.partition_input(&tasks, p);
+            let runs = self.partition_input(&tasks, p);
             self.th.end(Name::Merge, tag);
             self.th.begin(Name::Exec, tag);
-            let out = match input {
-                ReduceInput::Runs(runs) => run_reduce_map_task_merge(
-                    self.program.as_ref(),
-                    reduce_func,
-                    map_func,
-                    &runs,
-                    parts,
-                    combine,
-                ),
-                ReduceInput::Concat(bucket) => run_reduce_map_task(
-                    self.program.as_ref(),
-                    reduce_func,
-                    map_func,
-                    bucket,
-                    parts,
-                    combine,
-                ),
-            };
+            let out = run_reduce_map_task_merge(
+                self.program.as_ref(),
+                reduce_func,
+                map_func,
+                &runs,
+                parts,
+                combine,
+                None,
+            );
             self.th.end(Name::Exec, tag);
             self.th.end(Name::Attempt, tag);
             let out = out?;
@@ -444,41 +396,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_sort_modes_agree() {
-        let run = |mode: MergeMode| {
-            let mut rt = SerialRuntime::new(Arc::new(Simple(WordCount)));
-            rt.set_merge_mode(mode);
-            let out = {
-                let mut job = Job::new(&mut rt);
-                job.map_reduce(input(), 2, 3, false).unwrap()
-            };
-            let m = rt.metrics().clone();
-            (out, m)
-        };
-        let (merged, mm) = run(MergeMode::Merge);
-        let (sorted, sm) = run(MergeMode::Sort);
-        assert_eq!(merged, sorted, "merge mode diverged from the sort oracle");
-        assert!(mm.merge_runs() > 0);
-        assert_eq!(mm.merge_runs(), mm.presorted_runs(), "in-process runs are always sorted");
-        assert!(mm.peak_reduce_records() > 0);
-        assert_eq!(sm.merge_runs(), 0, "sort mode never touches the merger");
-    }
-
-    #[test]
-    fn reducemap_merge_mode_matches_sort_mode() {
-        let run = |mode: MergeMode| {
-            let mut rt = SerialRuntime::new(Arc::new(Simple(Relabel)));
-            rt.set_merge_mode(mode);
+    fn reduce_merges_presorted_runs() {
+        let mut rt = SerialRuntime::new(Arc::new(Simple(WordCount)));
+        let out = {
             let mut job = Job::new(&mut rt);
-            let src = job.local_data(relabel_input(), 1).unwrap();
-            let mut m = job.map_data(src, 0, 3, false).unwrap();
-            for _ in 0..3 {
-                m = job.reduce_map_data(m, 0, 0, 3, false).unwrap();
-            }
-            let out = job.reduce_data(m, 0).unwrap();
-            job.fetch_all(out).unwrap()
+            job.map_reduce(input(), 2, 3, false).unwrap()
         };
-        assert_eq!(run(MergeMode::Merge), run(MergeMode::Sort));
+        assert_eq!(sorted_counts(out).len(), 6);
+        let m = rt.metrics();
+        // One map task, so each of the three partitions merges one run.
+        assert_eq!(m.merge_runs(), 3);
+        assert_eq!(m.merge_runs(), m.presorted_runs(), "in-process runs are always sorted");
+        assert!(m.peak_reduce_records() > 0);
     }
 
     #[test]

@@ -24,16 +24,14 @@ use crate::dataplane::{
 };
 use crate::master::SlaveId;
 use crate::proto::{
-    fetch_bucket_bytes_local_first, Assignment, CancelOrder, ControlMode, DataPlane, Dispatch,
-    EagerFragment, TaskKind, TaskMsg, TaskReport, TraceBatch,
+    fetch_bucket_bytes_local_first, Assignment, CancelOrder, DataPlane, Dispatch, EagerFragment,
+    TaskKind, TaskMsg, TaskReport, TraceBatch,
 };
 use mrs_codec::CompressMode;
 use mrs_core::task::{
-    run_map_task_bucket_cancellable, run_reduce_map_task_cancellable,
-    run_reduce_map_task_merge_cancellable, run_reduce_task_cancellable,
-    run_reduce_task_merge_cancellable,
+    run_map_task_bucket, run_reduce_map_task_merge, run_reduce_task_merge_cancellable,
 };
-use mrs_core::{merge_runs, Bucket, Error, MergeMode, Program, Result};
+use mrs_core::{merge_runs, Bucket, Error, Program, Result};
 use mrs_fs::format::{read_bucket_into, read_bucket_run, write_bucket};
 use mrs_fs::Store;
 use mrs_rpc::{DataServer, FrameCache};
@@ -143,10 +141,7 @@ pub struct SlaveOptions {
     /// Concurrent task slots (worker threads). Defaults to the number of
     /// available CPU cores.
     pub slots: usize,
-    /// How the slave discovers state changes: event-driven long-poll with
-    /// piggybacked completions (default), or legacy sleep-and-poll.
-    pub control: ControlMode,
-    /// Server-side park requested on fully-idle polls (long-poll mode).
+    /// Server-side park requested on fully-idle polls (long-poll).
     /// The master clamps it to its own `long_poll_timeout` and to half its
     /// slave death timeout, so requesting generously is safe.
     pub long_poll: Duration,
@@ -159,10 +154,6 @@ pub struct SlaveOptions {
     /// seed reduce-input fetches from the warm cache. Off restores the
     /// classic fetch-everything-at-task-time path.
     pub eager_shuffle: bool,
-    /// How reduce-like tasks assemble their input (`--mrs-merge`):
-    /// stream a k-way merge over the decoded sorted runs (default), or
-    /// concatenate and sort — the legacy path, kept as the oracle.
-    pub merge: MergeMode,
     /// Record task-attempt trace events (on by default; `--mrs-no-trace`
     /// turns it off). Events are shipped to the master piggybacked on the
     /// poll loop; the recorder is bounded, so tracing never grows memory
@@ -182,11 +173,9 @@ impl Default for SlaveOptions {
             poll_interval: Duration::from_millis(2),
             max_poll_interval: Duration::from_millis(50),
             slots: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            control: ControlMode::default(),
             long_poll: Duration::from_secs(1),
             compress: CompressMode::default(),
             eager_shuffle: true,
-            merge: MergeMode::default(),
             trace: true,
             test_delays: Vec::new(),
         }
@@ -216,10 +205,6 @@ struct EagerHalf {
     state: Mutex<EagerState>,
     /// Wakes the fetcher when fragments are announced (or on shutdown).
     cv: Condvar,
-    /// Pre-merge warm fragments into larger runs while maps still run
-    /// (merge-mode reduce only: the sort oracle stays byte-for-byte on
-    /// the classic per-fragment path).
-    premerge: bool,
 }
 
 struct EagerState {
@@ -291,7 +276,7 @@ struct PipeState {
 }
 
 impl Pipe {
-    fn new(eager: bool, premerge: bool) -> Pipe {
+    fn new(eager: bool) -> Pipe {
         Pipe {
             state: Mutex::new(PipeState {
                 fetch_queue: VecDeque::new(),
@@ -316,7 +301,6 @@ impl Pipe {
                     stop: false,
                 }),
                 cv: Condvar::new(),
-                premerge,
             }),
         }
     }
@@ -456,8 +440,7 @@ pub fn run_slave(
     let capacity = workers + 1;
     let id = link.signin(&authority, capacity)?;
 
-    let piggyback = matches!(opts.control, ControlMode::LongPoll);
-    let pipe = Pipe::new(opts.eager_shuffle, opts.merge == MergeMode::Merge);
+    let pipe = Pipe::new(opts.eager_shuffle);
     // Trace recording: one recorder per slave, one handle (ring shard)
     // per recording thread. Handles live outside the thread scope so the
     // worker closures can borrow them.
@@ -481,9 +464,7 @@ pub fn run_slave(
                         server.as_ref(),
                         id,
                         &pipe,
-                        piggyback,
                         opts.compress,
-                        opts.merge,
                         &opts.test_delays,
                         th.as_ref(),
                     )
@@ -560,7 +541,7 @@ pub fn run_slave(
             // a local completion could otherwise sit behind our own parked
             // request, so a busy slave polls without parking and waits
             // locally on the worker condvar instead.
-            let park = if piggyback && free == capacity { opts.long_poll } else { Duration::ZERO };
+            let park = if free == capacity { opts.long_poll } else { Duration::ZERO };
             // Drain the trace delta *after* taking the reports: any event a
             // worker recorded before queueing its report is guaranteed to
             // ride the same (or an earlier) poll as the report itself.
@@ -621,9 +602,10 @@ pub fn run_slave(
                 Ok(Assignment::Wait) => {
                     if park.is_zero() || polled_at.elapsed() < park / 2 {
                         // Either we chose not to park (workers busy: their
-                        // completions wake `poll_cv`) or the master did not
-                        // honor the park (legacy poll mode): bounded local
-                        // condvar wait with exponential backoff.
+                        // completions wake `poll_cv`) or the master cut the
+                        // park short to deliver eager fragments or cancel
+                        // orders: bounded local condvar wait with
+                        // exponential backoff.
                         let mut st = pipe.state.lock();
                         if !st.halt && st.reports.is_empty() {
                             pipe.poll_cv.wait_for(&mut st, backoff);
@@ -800,9 +782,7 @@ fn eager_fetch_loop(
                     st.warm.insert(url, (bytes, Instant::now()));
                 }
                 drop(st);
-                if eg.premerge {
-                    premerge_warm(eg, th);
-                }
+                premerge_warm(eg, th);
             }
             Err(_) => {
                 eg.state.lock().seen.remove(&url);
@@ -932,11 +912,10 @@ fn find_premerge_streak(warm: &HashMap<String, (Vec<u8>, Instant)>) -> Option<Ve
     None
 }
 
-/// One compute worker: pop prefetched tasks, execute, report. With
-/// `piggyback`, successful completions are queued on the pipe for the
-/// polling thread to deliver inside its next `get_tasks` call (one fewer
-/// control RPC per task); failures always report standalone so recovery
-/// starts immediately.
+/// One compute worker: pop prefetched tasks, execute, report. Successful
+/// completions are queued on the pipe for the polling thread to deliver
+/// inside its next `get_tasks` call (one fewer control RPC per task);
+/// failures always report standalone so recovery starts immediately.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     link: &dyn MasterLink,
@@ -946,9 +925,7 @@ fn worker_loop(
     server: Option<&DataServer>,
     id: SlaveId,
     pipe: &Pipe,
-    piggyback: bool,
     compress: CompressMode,
-    merge: MergeMode,
     delays: &[(u32, usize, u64)],
     th: Option<&TraceHandle>,
 ) -> Result<()> {
@@ -1031,7 +1008,6 @@ fn worker_loop(
                 id,
                 &mut scratch,
                 compress,
-                merge,
                 Some(&cancel),
                 th,
             )
@@ -1055,7 +1031,7 @@ fn worker_loop(
             Ok(urls) => {
                 let mut st = pipe.state.lock();
                 st.in_flight -= 1;
-                if piggyback && !st.direct_report {
+                if !st.direct_report {
                     st.reports.push(TaskReport {
                         data: task.data,
                         index: task.index,
@@ -1259,7 +1235,6 @@ fn process_task(
     slave: SlaveId,
     scratch: &mut Bucket,
     compress: CompressMode,
-    merge: MergeMode,
     cancel: Option<&AtomicBool>,
     th: Option<&TraceHandle>,
 ) -> std::result::Result<Vec<String>, TaskError> {
@@ -1285,10 +1260,9 @@ fn process_task(
         failed_input: None,
     };
 
-    // Gather a reduce-like task's input per the merge mode: as separate
-    // merge runs (Merge) or one concatenated arena (Sort, the oracle).
-    // Empty slots are pre-merge placeholders — their records live in the
-    // merged run occupying the slot of the first URL they covered.
+    // Gather a reduce-like task's input as separate merge runs. Empty
+    // slots are pre-merge placeholders — their records live in the merged
+    // run occupying the slot of the first URL they covered.
     let gather_runs = || -> std::result::Result<Vec<Bucket>, TaskError> {
         span_begin(Name::Merge);
         let t0 = Instant::now();
@@ -1304,8 +1278,9 @@ fn process_task(
             if info.sorted {
                 presorted += 1;
             } else {
-                // Legacy/unflagged producer: sort on arrival, then merge
-                // as usual — the demotion keeps the fallback correct.
+                // A run that failed the per-record sortedness check: sort
+                // on arrival, then merge as usual — the merge is only
+                // correct over sorted runs.
                 run.sort();
             }
             records += run.len();
@@ -1314,18 +1289,6 @@ fn process_task(
         record_merge_input(runs.len(), presorted, records, t0.elapsed());
         span_end(Name::Merge);
         Ok(runs)
-    };
-    let gather_concat = || -> std::result::Result<Bucket, TaskError> {
-        span_begin(Name::Merge);
-        let mut input = Bucket::new();
-        for (url, bytes) in task.inputs.iter().zip(raw) {
-            if bytes.is_empty() {
-                continue;
-            }
-            read_bucket_into(bytes, &mut input).map_err(|e| parse_err(url, e))?;
-        }
-        span_end(Name::Merge);
-        Ok(input)
     };
 
     // Execute and serialize output buckets. All paths decode straight
@@ -1341,39 +1304,19 @@ fn process_task(
                 read_bucket_into(bytes, scratch).map_err(|e| parse_err(url, e))?;
             }
             span_begin(Name::Exec);
-            let out = run_map_task_bucket_cancellable(
-                program,
-                task.func,
-                scratch,
-                task.parts,
-                task.combine,
-                cancel,
-            )
-            .map_err(run_err);
+            let out =
+                run_map_task_bucket(program, task.func, scratch, task.parts, task.combine, cancel)
+                    .map_err(run_err);
             span_end(Name::Exec);
             out?.iter().map(|b| (write_bucket(b), b.is_sorted())).collect()
         }
         TaskKind::Reduce => {
-            let out = match merge {
-                MergeMode::Merge => {
-                    let runs = gather_runs()?;
-                    span_begin(Name::Exec);
-                    let out = run_reduce_task_merge_cancellable(program, task.func, &runs, cancel)
-                        .map_err(run_err);
-                    span_end(Name::Exec);
-                    out?
-                }
-                // Reduce consumes its input arena (sorted in place), so
-                // it cannot reuse the scratch buffer.
-                MergeMode::Sort => {
-                    let input = gather_concat()?;
-                    span_begin(Name::Exec);
-                    let out = run_reduce_task_cancellable(program, task.func, input, cancel)
-                        .map_err(run_err);
-                    span_end(Name::Exec);
-                    out?
-                }
-            };
+            let runs = gather_runs()?;
+            span_begin(Name::Exec);
+            let out = run_reduce_task_merge_cancellable(program, task.func, &runs, cancel)
+                .map_err(run_err);
+            span_end(Name::Exec);
+            let out = out?;
             let sorted = out.is_sorted();
             vec![(write_bucket(&out), sorted)]
         }
@@ -1381,41 +1324,20 @@ fn process_task(
             // Fused reduce+map: gather one partition like a reduce, then
             // feed each reduced record straight into the next map — one
             // task where the unfused plan schedules and shuffles two.
-            let out = match merge {
-                MergeMode::Merge => {
-                    let runs = gather_runs()?;
-                    span_begin(Name::Exec);
-                    let out = run_reduce_map_task_merge_cancellable(
-                        program,
-                        task.func,
-                        task.map_func,
-                        &runs,
-                        task.parts,
-                        task.combine,
-                        cancel,
-                    )
-                    .map_err(run_err);
-                    span_end(Name::Exec);
-                    out?
-                }
-                MergeMode::Sort => {
-                    let input = gather_concat()?;
-                    span_begin(Name::Exec);
-                    let out = run_reduce_map_task_cancellable(
-                        program,
-                        task.func,
-                        task.map_func,
-                        input,
-                        task.parts,
-                        task.combine,
-                        cancel,
-                    )
-                    .map_err(run_err);
-                    span_end(Name::Exec);
-                    out?
-                }
-            };
-            out.iter().map(|b| (write_bucket(b), b.is_sorted())).collect()
+            let runs = gather_runs()?;
+            span_begin(Name::Exec);
+            let out = run_reduce_map_task_merge(
+                program,
+                task.func,
+                task.map_func,
+                &runs,
+                task.parts,
+                task.combine,
+                cancel,
+            )
+            .map_err(run_err);
+            span_end(Name::Exec);
+            out?.iter().map(|b| (write_bucket(b), b.is_sorted())).collect()
         }
     };
 
@@ -1577,32 +1499,29 @@ mod tests {
         handle.join().unwrap().unwrap();
     }
 
-    /// The sort oracle (`--mrs-merge=sort`) must produce the same answer
-    /// as the default merge path the other tests exercise.
+    /// A slave's merge reduce must reproduce the serial plane's output
+    /// byte for byte.
     #[test]
-    fn sort_mode_slave_matches_merge_mode() {
+    fn slave_output_matches_serial() {
         let master = Master::new(MasterConfig::default(), DataPlane::Direct).unwrap();
         let program: Arc<dyn Program> = Arc::new(Simple(WordCount));
         let stop = Arc::new(AtomicBool::new(false));
-        let opts = SlaveOptions { merge: MergeMode::Sort, ..SlaveOptions::default() };
         let handle = {
             let m = master.clone();
             let p = Arc::clone(&program);
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || run_slave(&m, p, DataPlane::Direct, &opts, &stop))
+            std::thread::spawn(move || {
+                run_slave(&m, p, DataPlane::Direct, &SlaveOptions::default(), &stop)
+            })
         };
-
-        let mut driver = master.clone();
-        let src = driver.local_data(input(), 2).unwrap();
-        let mapped = driver.map_data(src, 0, 2, false).unwrap();
-        let reduced = driver.reduce_data(mapped, 0).unwrap();
-        let out = driver.fetch_all(reduced).unwrap();
-        let mut counts: Vec<(String, u64)> = out
-            .iter()
-            .map(|(k, v)| (String::from_bytes(k).unwrap(), u64::from_bytes(v).unwrap()))
-            .collect();
-        counts.sort();
-        assert_eq!(counts, vec![("a".into(), 2), ("b".into(), 2), ("c".into(), 1)]);
+        let run = |rt: &mut dyn JobApi| {
+            let src = rt.local_data(input(), 2).unwrap();
+            let mapped = rt.map_data(src, 0, 2, false).unwrap();
+            let reduced = rt.reduce_data(mapped, 0).unwrap();
+            rt.fetch_all(reduced).unwrap()
+        };
+        let oracle = run(&mut crate::SerialRuntime::new(Arc::clone(&program)));
+        assert_eq!(run(&mut master.clone()), oracle);
 
         master.finish();
         handle.join().unwrap().unwrap();
@@ -1622,7 +1541,7 @@ mod tests {
     /// whose input list matches consumes it across the covered slots.
     #[test]
     fn premerge_collapses_and_task_consumes_merged_run() {
-        let pipe = Pipe::new(true, true);
+        let pipe = Pipe::new(true);
         let eg = pipe.eager.as_ref().unwrap();
         for i in 0..5 {
             warm_fragment(eg, i);
@@ -1654,7 +1573,7 @@ mod tests {
     /// pre-merge leaves fragments alone.
     #[test]
     fn premerge_requires_contiguous_minimum() {
-        let pipe = Pipe::new(true, true);
+        let pipe = Pipe::new(true);
         let eg = pipe.eager.as_ref().unwrap();
         // Indices 0,1,2 then 4,5: no streak of PREMERGE_MIN.
         for i in [0usize, 1, 2, 4, 5] {
@@ -1671,7 +1590,7 @@ mod tests {
     /// task falls back to per-fragment fetches.
     #[test]
     fn premerge_mismatch_drops_merged_run() {
-        let pipe = Pipe::new(true, true);
+        let pipe = Pipe::new(true);
         let eg = pipe.eager.as_ref().unwrap();
         for i in 0..4 {
             warm_fragment(eg, i);

@@ -2,8 +2,8 @@
 //! feature: long-poll dispatch and piggybacked completions change *when*
 //! control messages flow, never the answer. These tests pin the RPC
 //! economics — an iteration's control traffic scales with the number of
-//! slaves, not the number of tasks — and the behavioural switches of
-//! `--mrs-control`.
+//! slaves, not the number of tasks — and check every answer against the
+//! serial plane.
 
 use mrs::apps::wordcount::{lines_to_records, WordCount};
 use mrs::prelude::*;
@@ -21,39 +21,33 @@ fn pso_config() -> PsoConfig {
     }
 }
 
-/// Run an iterative tiny-task PSO job under the given control mode and
-/// return (sorted output bytes, control RPCs served, metrics).
-fn run_pso(control: ControlMode, iters: u64, parts: usize) -> (Vec<Record>, u64, u64) {
-    let cfg = MasterConfig { control, ..MasterConfig::default() };
+/// The iterative tiny-task PSO job of these tests.
+fn pso_on(job: &mut Job, iters: u64, parts: usize) -> Vec<Record> {
+    let program = PsoProgram::new(pso_config(), 1);
+    let mut ds = job.local_data(program.initial_particles(), parts).unwrap();
+    for _ in 0..iters {
+        let m = job.map_data(ds, FUNC_PARTICLE, parts, false).unwrap();
+        ds = job.reduce_data(m, FUNC_PARTICLE).unwrap();
+    }
+    let mut out = job.fetch_all(ds).unwrap();
+    out.sort();
+    out
+}
+
+/// Run the PSO job on a two-slave cluster and return (sorted output
+/// bytes, control RPCs served, long-poll parks, piggybacked reports).
+fn run_pso(iters: u64, parts: usize) -> (Vec<Record>, u64, u64, u64) {
     let mut cluster = LocalCluster::start_with(
         Arc::new(PsoProgram::new(pso_config(), 1)),
         2,
         DataPlane::Direct,
-        cfg,
+        MasterConfig::default(),
         SlaveOptions { slots: 2, ..SlaveOptions::default() },
     )
     .unwrap();
-    let mut out = {
-        let mut job = Job::new(&mut cluster);
-        let program = PsoProgram::new(pso_config(), 1);
-        let mut ds = job.local_data(program.initial_particles(), parts).unwrap();
-        for _ in 0..iters {
-            let m = job.map_data(ds, FUNC_PARTICLE, parts, false).unwrap();
-            ds = job.reduce_data(m, FUNC_PARTICLE).unwrap();
-        }
-        job.fetch_all(ds).unwrap()
-    };
-    out.sort();
-    let rpcs = cluster.control_requests();
+    let out = pso_on(&mut Job::new(&mut cluster), iters, parts);
     let m = cluster.metrics();
-    // Fold the two counters the smoke test needs into one tuple slot each.
-    let parks = m.longpoll_parks();
-    let piggybacked = m.piggybacked_reports();
-    assert!(
-        matches!(control, ControlMode::LongPoll) || parks == 0,
-        "poll mode must never park (got {parks})"
-    );
-    (out, rpcs, if matches!(control, ControlMode::LongPoll) { piggybacked } else { parks })
+    (out, cluster.control_requests(), m.longpoll_parks(), m.piggybacked_reports())
 }
 
 /// Piggybacking makes completions free: the bulk of task reports must
@@ -63,39 +57,40 @@ fn run_pso(control: ControlMode, iters: u64, parts: usize) -> (Vec<Record>, u64,
 fn piggybacking_bounds_control_rpcs_by_slaves_not_tasks() {
     let iters = 10;
     let parts = 6;
-    let (_, rpcs, piggybacked) = run_pso(ControlMode::LongPoll, iters, parts);
+    let (_, rpcs, _, piggybacked) = run_pso(iters, parts);
     let tasks = iters * (parts as u64 + 1); // per iteration: `parts` maps + 1 reduce batch
     assert!(piggybacked > 0, "expected piggybacked completion reports");
     assert!(
         piggybacked >= tasks / 2,
         "most completions should ride polls: {piggybacked} piggybacked of {tasks} tasks"
     );
-    // In poll mode every task costs its own `task_done` on top of the
-    // dispatch polls, so the control RPC count has a 2-per-task floor.
-    // Event-driven mode must beat that floor.
+    // With a standalone `task_done` per task on top of the dispatch polls,
+    // the control RPC count would have a 2-per-task floor. Piggybacked
+    // completions must beat that floor.
     assert!(
         rpcs < 2 * tasks,
-        "control RPCs must undercut the poll-mode floor: {rpcs} RPCs for {tasks} tasks"
+        "control RPCs must undercut the one-report-per-task floor: {rpcs} RPCs for {tasks} tasks"
     );
 }
 
-/// The same job under both control planes: the event-driven plane must
-/// spend strictly fewer control RPCs, park at least once, and produce a
-/// byte-identical answer.
+/// The iterative job on the event-driven cluster reproduces the serial
+/// plane byte for byte, and the event machinery actually engaged: idle
+/// slaves parked their polls and completions rode on them.
 #[test]
-fn longpoll_spends_fewer_rpcs_than_poll_for_identical_output() {
-    let (out_long, rpcs_long, piggybacked) = run_pso(ControlMode::LongPoll, 8, 4);
-    let (out_poll, rpcs_poll, _) = run_pso(ControlMode::Poll, 8, 4);
-    assert_eq!(out_long, out_poll, "control mode must never change the answer");
-    assert!(piggybacked > 0, "long-poll run should piggyback completions");
-    assert!(
-        rpcs_long < rpcs_poll,
-        "event-driven control plane must reduce RPC count: longpoll={rpcs_long} poll={rpcs_poll}"
+fn longpoll_cluster_matches_serial_and_engages_event_machinery() {
+    let (out, _, parks, piggybacked) = run_pso(8, 4);
+    let serial = pso_on(
+        &mut Job::new(&mut SerialRuntime::new(Arc::new(PsoProgram::new(pso_config(), 1)))),
+        8,
+        4,
     );
+    assert_eq!(out, serial, "the control plane must never change the answer");
+    assert!(parks > 0, "no poll ever parked at the master");
+    assert!(piggybacked > 0, "no completion ever rode a poll");
 }
 
-/// An idle cluster under long-poll parks instead of burning empty polls:
-/// with no work queued, a waiting slave's requests are held server-side.
+/// An idle cluster parks instead of burning empty polls: with no work
+/// queued, a waiting slave's requests are held server-side.
 #[test]
 fn idle_slaves_park_instead_of_polling() {
     let cluster = LocalCluster::start(
@@ -125,25 +120,28 @@ fn idle_slaves_park_instead_of_polling() {
     );
 }
 
-/// WordCount through both control planes end-to-end (map + combine +
-/// reduce over real sockets) stays byte-identical.
+/// WordCount end to end on the cluster (map + combine + reduce over real
+/// sockets) matches the serial plane byte for byte.
 #[test]
-fn wordcount_identical_across_control_modes() {
+fn wordcount_on_event_driven_cluster_matches_serial() {
     let lines: Vec<String> =
         (0..90).map(|i| format!("omega w{} shared w{} w{}", i % 7, i % 11, i % 3)).collect();
-    let run = |control: ControlMode| {
-        let cfg = MasterConfig { control, ..MasterConfig::default() };
-        let mut cluster =
-            LocalCluster::start(Arc::new(Simple(WordCount)), 2, DataPlane::Direct, cfg).unwrap();
-        let mut job = Job::new(&mut cluster);
-        let input = lines_to_records(lines.iter().map(String::as_str));
-        let mut out = job.map_reduce(input, 6, 3, true).unwrap();
+    let input = lines_to_records(lines.iter().map(String::as_str));
+    let run = |rt: &mut dyn JobApi| {
+        let mut out = Job::new(rt).map_reduce(input.clone(), 6, 3, true).unwrap();
         out.sort();
         out
     };
+    let mut cluster = LocalCluster::start(
+        Arc::new(Simple(WordCount)),
+        2,
+        DataPlane::Direct,
+        MasterConfig::default(),
+    )
+    .unwrap();
     assert_eq!(
-        run(ControlMode::LongPoll),
-        run(ControlMode::Poll),
-        "WordCount output must not depend on the control plane"
+        run(&mut cluster),
+        run(&mut SerialRuntime::new(Arc::new(Simple(WordCount)))),
+        "WordCount output must not depend on the plane"
     );
 }

@@ -21,11 +21,18 @@ fn sample_lines() -> Vec<String> {
     (0..60).map(|i| format!("alpha w{} w{} beta w{}", i % 7, i % 11, i % 3)).collect()
 }
 
-fn wordcount_on(job: &mut Job, maps: usize, reduces: usize) -> HashMap<String, u64> {
+/// WordCount with the combiner; the output records in key order, so
+/// runtimes with different partition counts compare byte for byte.
+fn wordcount_on(job: &mut Job, maps: usize, reduces: usize) -> Vec<Record> {
     let lines = sample_lines();
     let input = lines_to_records(lines.iter().map(String::as_str));
-    let out = job.map_reduce(input, maps, reduces, true).unwrap();
-    decode_counts(&out).unwrap()
+    let mut out = job.map_reduce(input, maps, reduces, true).unwrap();
+    out.sort();
+    out
+}
+
+fn counts(records: &[Record]) -> HashMap<String, u64> {
+    decode_counts(records).unwrap()
 }
 
 #[test]
@@ -80,16 +87,6 @@ fn wordcount_identical_across_all_five_runtimes() {
         .unwrap();
         wordcount_on(&mut Job::new(&mut cluster), 6, 3)
     };
-    // The legacy sleep-and-poll control plane (the clusters above run the
-    // event-driven default) must agree too: long-poll dispatch and
-    // piggybacked completions change control timing, never the answer.
-    let pollmode = {
-        let cfg = MasterConfig { control: ControlMode::Poll, ..MasterConfig::default() };
-        let mut cluster =
-            LocalCluster::start(Arc::new(Simple(WordCount)), 2, DataPlane::Direct, cfg).unwrap();
-        wordcount_on(&mut Job::new(&mut cluster), 4, 3)
-    };
-
     // The shuffle codec must be invisible to the answer: always-compress
     // and never-compress clusters (the ones above run the size-threshold
     // default) bracket every framing path.
@@ -131,17 +128,20 @@ fn wordcount_identical_across_all_five_runtimes() {
         out
     };
 
-    assert_eq!(bypass, serial, "serial vs bypass");
-    assert_eq!(serial, mock, "mock vs serial");
-    assert_eq!(mock, pool, "pool vs mock");
-    assert_eq!(pool, direct, "distributed-direct vs pool");
-    assert_eq!(direct, shared, "distributed-sharedfs vs distributed-direct");
-    assert_eq!(shared, multislot, "multi-slot cluster vs distributed-sharedfs");
-    assert_eq!(multislot, pollmode, "poll-mode cluster vs long-poll cluster");
-    assert_eq!(pollmode, compress_on, "compress-on cluster vs poll-mode cluster");
-    assert_eq!(compress_on, compress_off, "compress-off cluster vs compress-on cluster");
-    assert_eq!(compress_off, eager_off, "eager-off cluster vs compress-off cluster");
-    assert_eq!(eager_off, speculate_off, "speculate-off cluster vs eager-off cluster");
+    assert_eq!(bypass, counts(&serial), "serial vs bypass");
+    for (name, out) in [
+        ("mock", &mock),
+        ("pool", &pool),
+        ("distributed-direct", &direct),
+        ("distributed-sharedfs", &shared),
+        ("multi-slot cluster", &multislot),
+        ("compress-on cluster", &compress_on),
+        ("compress-off cluster", &compress_off),
+        ("eager-off cluster", &eager_off),
+        ("speculate-off cluster", &speculate_off),
+    ] {
+        assert_eq!(*out, serial, "{name} vs serial");
+    }
 }
 
 /// Force an actual backup-vs-original race and check it is answer-neutral:
@@ -170,7 +170,7 @@ fn forced_backup_race_preserves_the_answer() {
     cluster.add_slave_with(straggly);
 
     let raced = wordcount_on(&mut Job::new(&mut cluster), 8, 3);
-    assert_eq!(raced, bypass, "forced-backup cluster vs bypass");
+    assert_eq!(counts(&raced), bypass, "forced-backup cluster vs bypass");
     let metrics = cluster.metrics();
     assert!(metrics.speculative_launches() >= 1, "the injected straggler never got a backup");
     assert!(metrics.speculative_wins() >= 1, "a full-speed backup should beat a 400ms sleeper");
@@ -194,45 +194,27 @@ fn mixed_compression_slaves_interoperate() {
         LocalCluster::start(Arc::new(Simple(WordCount)), 1, DataPlane::Direct, cfg).unwrap();
     cluster.add_slave_with(SlaveOptions { compress: CompressMode::Off, ..SlaveOptions::default() });
     let mixed = wordcount_on(&mut Job::new(&mut cluster), 6, 4);
-    assert_eq!(mixed, bypass, "mixed-compression cluster vs bypass");
+    assert_eq!(counts(&mixed), bypass, "mixed-compression cluster vs bypass");
 }
 
 /// The merge-reduce oracle on the plan that stresses it hardest: with no
 /// combiner, map tasks emit full unaggregated runs, so reduce tasks see
-/// many duplicate keys per run and the streaming k-way merge (default)
-/// must group them exactly like the legacy concatenate-and-sort path
-/// (`--mrs-merge=sort`). Any divergence — grouping, value order within a
-/// key, output order — is a bug, so the comparison is on the raw decoded
-/// counts across every plane.
+/// many duplicate keys per run and the streaming k-way merge must group
+/// them exactly like the serial plane. Any divergence — grouping, value
+/// order within a key, output order — is a bug, so every plane's raw
+/// output bytes must equal serial's, partition by partition.
 #[test]
 fn merge_oracle_wordcount_no_combiner_identical() {
     let lines = sample_lines();
     let input = lines_to_records(lines.iter().map(String::as_str));
     let bypass = corpus::tokenizer::reference_counts(lines.iter().map(String::as_str));
+    let run = |rt: &mut dyn JobApi| Job::new(rt).map_reduce(input.clone(), 5, 4, false).unwrap();
 
-    let serial_merge = {
-        let mut rt = SerialRuntime::new(Arc::new(Simple(WordCount)));
-        let out = Job::new(&mut rt).map_reduce(input.clone(), 5, 4, false).unwrap();
-        decode_counts(&out).unwrap()
-    };
-    let serial_sort = {
-        let mut rt = SerialRuntime::new(Arc::new(Simple(WordCount)));
-        rt.set_merge_mode(MergeMode::Sort);
-        let out = Job::new(&mut rt).map_reduce(input.clone(), 5, 4, false).unwrap();
-        decode_counts(&out).unwrap()
-    };
-    let pool_merge = {
-        let mut rt = LocalRuntime::pool(Arc::new(Simple(WordCount)), 4);
-        let out = Job::new(&mut rt).map_reduce(input.clone(), 5, 4, false).unwrap();
-        decode_counts(&out).unwrap()
-    };
-    let pool_sort = {
-        let mut rt = LocalRuntime::pool(Arc::new(Simple(WordCount)), 4);
-        rt.set_merge_mode(MergeMode::Sort);
-        let out = Job::new(&mut rt).map_reduce(input.clone(), 5, 4, false).unwrap();
-        decode_counts(&out).unwrap()
-    };
-    let cluster_merge = {
+    let serial = run(&mut SerialRuntime::new(Arc::new(Simple(WordCount))));
+    let mock =
+        run(&mut LocalRuntime::mock_parallel(Arc::new(Simple(WordCount)), Arc::new(MemFs::new())));
+    let pool = run(&mut LocalRuntime::pool(Arc::new(Simple(WordCount)), 4));
+    let cluster = {
         let mut cluster = LocalCluster::start(
             Arc::new(Simple(WordCount)),
             2,
@@ -240,31 +222,33 @@ fn merge_oracle_wordcount_no_combiner_identical() {
             MasterConfig::default(),
         )
         .unwrap();
-        let out = Job::new(&mut cluster).map_reduce(input.clone(), 5, 4, false).unwrap();
-        let counts = decode_counts(&out).unwrap();
+        let out = run(&mut cluster);
         let m = cluster.metrics();
-        assert!(m.merge_runs() > 0, "merge-mode cluster never recorded a merge run");
+        assert!(m.merge_runs() > 0, "cluster never recorded a merge run");
         assert_eq!(
             m.presorted_runs(),
             m.merge_runs(),
             "every map output must arrive as a presorted run"
         );
-        counts
+        out
     };
-    let cluster_sort = {
-        let cfg = MasterConfig { merge: MergeMode::Sort, ..MasterConfig::default() };
-        let mut cluster =
-            LocalCluster::start(Arc::new(Simple(WordCount)), 2, DataPlane::Direct, cfg).unwrap();
-        let out = Job::new(&mut cluster).map_reduce(input.clone(), 5, 4, false).unwrap();
-        decode_counts(&out).unwrap()
+    let shared = {
+        let store: Arc<dyn mrs_fs::Store> = Arc::new(MemFs::new());
+        let mut cluster = LocalCluster::start(
+            Arc::new(Simple(WordCount)),
+            2,
+            DataPlane::SharedFs(store),
+            MasterConfig::default(),
+        )
+        .unwrap();
+        run(&mut cluster)
     };
 
-    assert_eq!(serial_merge, bypass, "serial merge vs bypass");
-    assert_eq!(serial_sort, serial_merge, "serial sort-oracle vs merge");
-    assert_eq!(pool_merge, serial_merge, "pool merge vs serial merge");
-    assert_eq!(pool_sort, pool_merge, "pool sort-oracle vs merge");
-    assert_eq!(cluster_merge, pool_merge, "cluster merge vs pool merge");
-    assert_eq!(cluster_sort, cluster_merge, "cluster sort-oracle vs merge");
+    assert_eq!(counts(&serial), bypass, "serial vs bypass");
+    assert_eq!(mock, serial, "mock vs serial");
+    assert_eq!(pool, serial, "pool vs serial");
+    assert_eq!(cluster, serial, "cluster vs serial");
+    assert_eq!(shared, serial, "shared-fs cluster vs serial");
 }
 
 fn pso_config() -> PsoConfig {
@@ -325,20 +309,6 @@ fn stochastic_pso_bitwise_identical_across_runtimes() {
         .unwrap();
         pso_swarm_on(&mut Job::new(&mut cluster), 5, iters)
     };
-    // A stochastic iterative job is the sharpest oracle for the control
-    // plane: any reordering the long-poll/piggyback machinery leaked into
-    // execution would diverge the trajectory bit-for-bit.
-    let pollmode = {
-        let cfg = MasterConfig { control: ControlMode::Poll, ..MasterConfig::default() };
-        let mut cluster = LocalCluster::start(
-            Arc::new(PsoProgram::new(pso_config(), 1)),
-            2,
-            DataPlane::Direct,
-            cfg,
-        )
-        .unwrap();
-        pso_swarm_on(&mut Job::new(&mut cluster), 5, iters)
-    };
     // An iterative stochastic trajectory is equally sharp for the eager
     // shuffle plane: warm-fragment seeding must feed reduce tasks the
     // exact bytes (and bucket order) the cold path fetches.
@@ -369,36 +339,19 @@ fn stochastic_pso_bitwise_identical_across_runtimes() {
         pso_swarm_on(&mut Job::new(&mut cluster), 5, iters)
     };
 
-    // The trajectory is just as sharp an oracle for reduce-input
-    // assembly: the sort path must reproduce the default streaming
-    // merge bit-for-bit across a 12-iteration stochastic chain.
-    let merge_sort = {
-        let cfg = MasterConfig { merge: MergeMode::Sort, ..MasterConfig::default() };
-        let mut cluster = LocalCluster::start(
-            Arc::new(PsoProgram::new(pso_config(), 1)),
-            2,
-            DataPlane::Direct,
-            cfg,
-        )
-        .unwrap();
-        pso_swarm_on(&mut Job::new(&mut cluster), 5, iters)
-    };
-
     assert_eq!(serial, expected, "MapReduce-serial vs bypass");
     assert_eq!(pool, expected, "pool vs bypass");
     assert_eq!(cluster, expected, "cluster vs bypass");
     assert_eq!(multislot, expected, "multi-slot cluster vs bypass");
-    assert_eq!(pollmode, expected, "poll-mode cluster vs bypass");
     assert_eq!(eager_off, expected, "eager-off cluster vs bypass");
     assert_eq!(speculate_off, expected, "speculate-off cluster vs bypass");
-    assert_eq!(merge_sort, expected, "sort-oracle cluster vs bypass");
 }
 
 /// The fused-ReduceMap oracle: the same iterative island chain run
 /// unfused (materialized reduce then map) and fused (one ReduceMap op per
-/// interior round), across every plane, with lifetime GC both on and off
-/// and under both control modes. Fusion and GC are perf transforms only —
-/// any byte of divergence is a bug.
+/// interior round), across every plane, with lifetime GC both on and off.
+/// Fusion and GC are perf transforms only — any byte of divergence is a
+/// bug.
 #[test]
 fn fused_reducemap_identical_across_runtimes_and_gc_modes() {
     let cfg = PsoConfig {
@@ -451,9 +404,8 @@ fn fused_reducemap_identical_across_runtimes_and_gc_modes() {
         let m = cluster.metrics();
         (out, m.fused_ops(), m.datasets_freed())
     };
-    let cluster_poll_keepdata = {
-        let cfg_m =
-            MasterConfig { control: ControlMode::Poll, keep_data: true, ..MasterConfig::default() };
+    let cluster_keepdata = {
+        let cfg_m = MasterConfig { keep_data: true, ..MasterConfig::default() };
         let mut cluster = LocalCluster::start(
             Arc::new(PsoProgram::new(cfg.clone(), 4)),
             2,
@@ -480,7 +432,7 @@ fn fused_reducemap_identical_across_runtimes_and_gc_modes() {
     assert_eq!(pool_fused, serial_unfused, "pool fused vs serial unfused");
     assert_eq!(pool_keepdata, serial_unfused, "pool keep-data vs serial unfused");
     assert_eq!(cluster_fused, serial_unfused, "cluster fused vs serial unfused");
-    assert_eq!(cluster_poll_keepdata, serial_unfused, "poll-mode keep-data cluster");
+    assert_eq!(cluster_keepdata, serial_unfused, "keep-data cluster fused");
     assert_eq!(cluster_sharedfs, serial_unfused, "shared-fs cluster fused");
     // The machinery under test must actually have engaged.
     assert_eq!(cluster_fused_ops, iters - 1, "cluster should run every interior round fused");
